@@ -107,19 +107,6 @@ let schedule ~scale ~jobs ~out =
       output_char oc '\n');
   Format.fprintf ppf "  json       %s@." out
 
-let lanes ~scale ~jobs ~out =
-  Format.fprintf ppf "@.";
-  let jobs = match jobs with j :: _ -> j | [] -> 1 in
-  let rows = H.Experiments.lanes ~jobs ~scale () in
-  H.Report.lanes ppf rows;
-  let json = H.Experiments.lanes_json ~scale rows in
-  let text = H.Jsonl.to_string json in
-  ignore (H.Jsonl.parse text);
-  H.Resilient.write_atomic out (fun oc ->
-      output_string oc text;
-      output_char oc '\n');
-  Format.fprintf ppf "  json       %s@." out
-
 (* --- representation experiment: boxed vs flat value representation --- *)
 
 (* End-to-end serial fault-simulation throughput (compile + golden trace +
@@ -343,7 +330,6 @@ let () =
   let warmstart_out = ref "BENCH_warmstart.json" in
   let activation_out = ref "BENCH_activation.json" in
   let schedule_out = ref "BENCH_schedule.json" in
-  let lanes_out = ref "BENCH_lanes.json" in
   let cmds = ref [] in
   let rec parse i =
     if i < Array.length Sys.argv then
@@ -375,9 +361,6 @@ let () =
       | "--schedule-out" ->
           schedule_out := Sys.argv.(i + 1);
           parse (i + 2)
-      | "--lanes-out" ->
-          lanes_out := Sys.argv.(i + 1);
-          parse (i + 2)
       | cmd ->
           cmds := cmd :: !cmds;
           parse (i + 1)
@@ -386,10 +369,10 @@ let () =
    with _ ->
      prerr_endline
        "usage: main \
-        [tableN|figN|scaling|repr|warmstart|activation|schedule|lanes|micro] \
+        [tableN|figN|scaling|repr|warmstart|activation|schedule|micro] \
         [--scale S] [--jobs 1,2,4] [--scaling-out FILE] [--repr-out FILE] \
         [--warmstart-out FILE] [--activation-out FILE] [--schedule-out \
-        FILE] [--lanes-out FILE]");
+        FILE]");
   let cmds = if !cmds = [] then [ "all" ] else List.rev !cmds in
   let scale = !scale in
   Format.fprintf ppf "ERASER reproduction harness (scale %.2f)@.@." scale;
@@ -409,7 +392,6 @@ let () =
       | "warmstart" -> warmstart ~scale ~jobs:!jobs ~out:!warmstart_out
       | "activation" -> activation ~scale ~jobs:!jobs ~out:!activation_out
       | "schedule" -> schedule ~scale ~jobs:!jobs ~out:!schedule_out
-      | "lanes" -> lanes ~scale ~jobs:!jobs ~out:!lanes_out
       | "micro" -> micro ()
       | "all" ->
           table1 ();
@@ -425,7 +407,6 @@ let () =
           warmstart ~scale ~jobs:!jobs ~out:!warmstart_out;
           activation ~scale ~jobs:!jobs ~out:!activation_out;
           schedule ~scale ~jobs:!jobs ~out:!schedule_out;
-          lanes ~scale ~jobs:!jobs ~out:!lanes_out;
           micro ()
       | other -> Format.fprintf ppf "unknown experiment %S@." other)
     cmds

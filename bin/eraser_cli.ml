@@ -274,21 +274,8 @@ let run_cmd =
              smaller intervals skip dead prefixes more precisely at a \
              linear memory cost. Default: max(8, cycles/16).")
   in
-  let lanes_arg =
-    Arg.(
-      value & flag
-      & info [ "lanes" ]
-          ~doc:
-            "Lane-packed fault batching: pack the batch into 64-wide lane \
-             groups and drive each behavior-network round from per-signal \
-             lane masks, with per-node validity skip and identical-overlay \
-             execution sharing. Verdicts are identical to scalar mode; \
-             execution counters differ. Concurrent engines only; ignored \
-             for ifsim and vfsim.")
-  in
   let run (c : Circuits.Bench_circuit.t) engine scale instrument verify json
-      jobs warmstart lanes snapshot_every schedule capture_mem_limit trace
-      metrics =
+      jobs warmstart snapshot_every schedule capture_mem_limit trace metrics =
    guard @@ fun () ->
    with_obs ~trace ~metrics @@ fun () ->
     if jobs < 1 then
@@ -301,7 +288,7 @@ let run_cmd =
       (H.Campaign.engine_name engine) c.name w.Workload.cycles
       (Array.length faults);
     let r =
-      H.Campaign.run ~instrument ~lanes ~jobs ~warmstart ?snapshot_every
+      H.Campaign.run ~instrument ~jobs ~warmstart ?snapshot_every
         ?schedule ?capture_mem_limit engine g w faults
     in
     Format.printf "  coverage   %.2f%% (%d/%d)@." r.Fault.coverage_pct
@@ -318,13 +305,6 @@ let run_cmd =
     if s.Stats.plan_batches > 0 then
       Format.printf "  schedule   %d planned batch(es), %d snapshot(s)@."
         s.Stats.plan_batches s.Stats.plan_snapshots;
-    if s.Stats.lane_groups > 0 then
-      Format.printf
-        "  lanes      %d group(s), %.1f mean occupancy, %d scalar \
-         fallback(s)@."
-        s.Stats.lane_groups
-        (Stats.lane_occupancy_mean s)
-        s.Stats.scalar_fallbacks;
     if instrument then
       Format.printf "  behavioral-node time %.0f%%@." (Stats.bn_time_pct s);
     let verdicts = Classify.classify g faults in
@@ -377,9 +357,8 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a fault-simulation campaign on one circuit.")
     Term.(
       const run $ circuit_arg $ engine_arg $ scale_arg $ instrument_arg
-      $ verify_arg $ json_arg $ jobs_arg $ warmstart_arg $ lanes_arg
-      $ snapshot_every_arg $ schedule_arg $ capture_mem_limit_arg $ trace_arg
-      $ metrics_arg)
+      $ verify_arg $ json_arg $ jobs_arg $ warmstart_arg $ snapshot_every_arg
+      $ schedule_arg $ capture_mem_limit_arg $ trace_arg $ metrics_arg)
 
 (* --- campaign (resilient runner) --- *)
 
@@ -515,7 +494,7 @@ let campaign_cmd =
   in
   let run (c : Circuits.Bench_circuit.t) engine scale batch journal resume
       oracle_sample batch_timeout cycle_budget max_retries no_quarantine
-      inject json jobs warmstart lanes snapshot_every schedule
+      inject json jobs warmstart snapshot_every schedule
       capture_mem_limit verdicts_out trace metrics progress supervise
       repro_dir =
    guard @@ fun () ->
@@ -540,7 +519,6 @@ let campaign_cmd =
         repro_dir;
         repro_meta = Some (c.name, scale);
         warmstart;
-        lanes;
         snapshot_every;
         schedule;
         capture_mem_limit;
@@ -595,13 +573,6 @@ let campaign_cmd =
     if r.Fault.stats.Stats.plan_batches > 0 then
       Format.printf "  schedule   %d planned batch(es), %d snapshot(s)@."
         r.Fault.stats.Stats.plan_batches r.Fault.stats.Stats.plan_snapshots;
-    if r.Fault.stats.Stats.lane_groups > 0 then
-      Format.printf
-        "  lanes      %d group(s), %.1f mean occupancy, %d scalar \
-         fallback(s)@."
-        r.Fault.stats.Stats.lane_groups
-        (Stats.lane_occupancy_mean r.Fault.stats)
-        r.Fault.stats.Stats.scalar_fallbacks;
     (match json with
     | Some path ->
         let verdicts = Classify.classify g faults in
@@ -652,19 +623,8 @@ let campaign_cmd =
       & info [ "verdicts" ] ~docv:"FILE"
           ~doc:
             "Write the stats-free verdicts-only JSON report (atomically). \
-             Byte-identical across engines, $(b,--jobs) values, \
-             $(b,--warmstart) and $(b,--lanes), so it can be diffed \
-             directly.")
-  in
-  let lanes_arg =
-    Arg.(
-      value & flag
-      & info [ "lanes" ]
-          ~doc:
-            "Lane-packed fault batching (see $(b,eraser run --lanes)). \
-             Verdicts and the $(b,--verdicts) report are identical to \
-             scalar mode. The journal records the mode; $(b,--resume) \
-             adopts the journal's own mode regardless of this flag.")
+             Byte-identical across engines, $(b,--jobs) values and \
+             $(b,--warmstart), so it can be diffed directly.")
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -677,9 +637,9 @@ let campaign_cmd =
       const run $ circuit_arg $ engine_arg $ scale_arg $ batch_arg
       $ journal_arg $ resume_arg $ oracle_sample_arg $ batch_timeout_arg
       $ cycle_budget_arg $ max_retries_arg $ no_quarantine_arg $ inject_arg
-      $ json_arg $ jobs_arg $ warmstart_arg $ lanes_arg $ snapshot_every_arg
-      $ schedule_arg $ capture_mem_limit_arg $ verdicts_arg $ trace_arg
-      $ metrics_arg $ progress_arg $ supervise_arg $ repro_dir_arg)
+      $ json_arg $ jobs_arg $ warmstart_arg $ snapshot_every_arg $ schedule_arg
+      $ capture_mem_limit_arg $ verdicts_arg $ trace_arg $ metrics_arg
+      $ progress_arg $ supervise_arg $ repro_dir_arg)
 
 (* --- chaos --- *)
 

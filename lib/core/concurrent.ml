@@ -16,7 +16,6 @@ type config = {
   instrument : bool;
   exact_mem_check : bool;
   corrupt_verdict : int option;
-  lanes : bool;
 }
 
 let default_config =
@@ -26,7 +25,6 @@ let default_config =
     instrument = false;
     exact_mem_check = true;
     corrupt_verdict = None;
-    lanes = false;
   }
 
 (* Chaos seam, installed by the harness (Harness.Chaos): consulted once per
@@ -115,11 +113,6 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
   let nproc = Array.length d.procs in
   let nfaults = Array.length faults in
   let stats = Stats.create () in
-  (* ---- lane packing plan (positional: fault f = lane [f land 63] of
-     group [f lsr 6]) ---- *)
-  let lanes_on = config.lanes in
-  let lplan = Lanes.plan (if lanes_on then faults else [||]) in
-  let ngroups = if lanes_on then lplan.Lanes.groups else 0 in
   let gx, warm_start =
     match (capture_into, goodtrace) with
     | Some b, _ -> (Gcap b, 0)
@@ -166,17 +159,14 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
   let expect_site = min nfaults 16 in
   let diffs : Diffstore.t array =
     Array.init nsig (fun _ ->
-        Diffstore.create ~lane_groups:ngroups ~expect:expect_site ())
+        Diffstore.create ~expect:expect_site ())
   in
-  (* mem diff keys are (fault * size + word), not fault ids, so they carry
-     no lane masks; per-fault memory visibility is mask-tracked in
-     [mem_fault_words] instead *)
   let mem_diffs : Diffstore.t array =
     Array.init nmem (fun _ -> Diffstore.create ~expect:expect_site ())
   in
   let mem_fault_words : Diffstore.Counts.t array =
     Array.init nmem (fun _ ->
-        Diffstore.Counts.create ~lane_groups:ngroups ~expect:nfaults ())
+        Diffstore.Counts.create ~expect:nfaults ())
   in
   let site_faults = Array.make nsig [] in
   let transients_at : (int, Fault.t list) Hashtbl.t = Hashtbl.create 8 in
@@ -243,86 +233,6 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
       touch pos
     done
   in
-  (* ---- lane packing state ----
-     [live_lanes]: per group, the lanes whose fault is still undetected.
-     [packed_lanes]: lanes eligible for packed evaluation (validity skip +
-     identical-overlay execution sharing); transients fall back to strict
-     per-fault processing. [lane_valid]: per comb position and group, the
-     lanes whose last outcome at that node is still current — any
-     fault-diff change in the node's cone clears the lane's bit, so a
-     still-set bit proves the node would recompute the exact same result
-     for that lane (comb bodies are pure functions of their reads). *)
-  (* All mask state lives in int64 Bigarrays: an [int64 array] store boxes
-     its element on every write, and these words are touched on every node
-     round, so the boxed representation is the difference between lane mode
-     beating and losing to the scalar path. *)
-  let ba_masks n =
-    let a = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (max n 1) in
-    Bigarray.Array1.fill a 0L;
-    a
-  in
-  let live_lanes = ba_masks ngroups in
-  let packed_lanes = ba_masks ngroups in
-  if lanes_on then
-    for grp = 0 to ngroups - 1 do
-      Bigarray.Array1.unsafe_set live_lanes grp lplan.Lanes.live.(grp);
-      Bigarray.Array1.unsafe_set packed_lanes grp lplan.Lanes.packed.(grp)
-    done;
-  (* flattened [ncomb * ngroups]: row [pos], word [grp] *)
-  let lane_valid = ba_masks (if lanes_on then ncomb * ngroups else 0) in
-  let lane_is_packed f =
-    Int64.logand
-      (Bigarray.Array1.unsafe_get packed_lanes (Lanes.group f))
-      (Lanes.bit f)
-    <> 0L
-  in
-  let lane_inval_sig id f =
-    let grp = Lanes.group f and nb = Int64.lognot (Lanes.bit f) in
-    let fo = g.fanout_comb.(id) in
-    for i = 0 to Array.length fo - 1 do
-      let pos = fo.(i) in
-      if pos <> !current_pos then begin
-        let idx = (pos * ngroups) + grp in
-        Bigarray.Array1.unsafe_set lane_valid idx
-          (Int64.logand (Bigarray.Array1.unsafe_get lane_valid idx) nb)
-      end
-    done
-  in
-  let lane_inval_mem m f =
-    let grp = Lanes.group f and nb = Int64.lognot (Lanes.bit f) in
-    let fo = g.fanout_mem.(m) in
-    for i = 0 to Array.length fo - 1 do
-      let idx = (fo.(i) * ngroups) + grp in
-      Bigarray.Array1.unsafe_set lane_valid idx
-        (Int64.logand (Bigarray.Array1.unsafe_get lane_valid idx) nb)
-    done
-  in
-  (* out-of-band diff corruption (chaos seam) bypasses the cone: drop every
-     cached outcome of the fault *)
-  let lane_inval_all f =
-    let grp = Lanes.group f and nb = Int64.lognot (Lanes.bit f) in
-    for pos = 0 to ncomb - 1 do
-      let idx = (pos * ngroups) + grp in
-      Bigarray.Array1.unsafe_set lane_valid idx
-        (Int64.logand (Bigarray.Array1.unsafe_get lane_valid idx) nb)
-    done
-  in
-  let lanes_shared = ref 0 in
-  let lanes_skips = ref 0 in
-  let lanes_fallback_execs = ref 0 in
-  let lanes_packed_total = ref 0 in
-  let lane_occ_sum = ref 0 in
-  let lane_occ_rounds = ref 0 in
-  let lane_round_account cand grp =
-    let occ = Lanes.popcount cand in
-    lane_occ_sum := !lane_occ_sum + occ;
-    incr lane_occ_rounds;
-    lanes_packed_total :=
-      !lanes_packed_total
-      + Lanes.popcount
-          (Int64.logand cand (Bigarray.Array1.unsafe_get packed_lanes grp));
-    if metrics_on then Obs.Metrics.observe "lanes.occupancy" (float_of_int occ)
-  in
   (* ---- diff store ----
      Payload equality is full equality: every stored payload is masked to
      its signal's width, and a slot's good value shares that width. *)
@@ -332,14 +242,12 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
     if v = good then begin
       if Diffstore.mem tbl f then begin
         Diffstore.remove tbl f;
-        mark_fault_fanout id;
-        if lanes_on then lane_inval_sig id f
+        mark_fault_fanout id
       end
     end
     else if Diffstore.find tbl f ~default:good <> v then begin
       Diffstore.set tbl f v;
-      mark_fault_fanout id;
-      if lanes_on then lane_inval_sig id f
+      mark_fault_fanout id
     end
   in
   let fault_value f id = Diffstore.find diffs.(id) f ~default:(State.get st id) in
@@ -365,22 +273,19 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
       if Diffstore.mem tbl key then begin
         Diffstore.remove tbl key;
         mem_words_bump m f (-1);
-        mark_mem_fault_fanout m;
-        if lanes_on then lane_inval_mem m f
+        mark_mem_fault_fanout m
       end
     end
     else if Diffstore.mem tbl key then begin
       if Diffstore.find tbl key ~default:good <> v then begin
         Diffstore.set tbl key v;
-        mark_mem_fault_fanout m;
-        if lanes_on then lane_inval_mem m f
+        mark_mem_fault_fanout m
       end
     end
     else begin
       Diffstore.set tbl key v;
       mem_words_bump m f 1;
-      mark_mem_fault_fanout m;
-      if lanes_on then lane_inval_mem m f
+      mark_mem_fault_fanout m
     end
   in
   (* ---- good writes (with fault-site injection and stale-diff sweep) ---- *)
@@ -576,178 +481,6 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
   let input_diff f reads read_mems =
     Array.exists (visible f) reads || Array.exists (mem_visible f) read_mems
   in
-  (* ---- lane candidate masks + identical-overlay execution sharing ---- *)
-  let lane_cand = ba_masks ngroups in
-  let lane_begin () = Bigarray.Array1.fill lane_cand 0L in
-  let lane_or_sig id =
-    let tbl = diffs.(id) in
-    if Diffstore.length tbl > 0 then Diffstore.lane_or_into tbl lane_cand
-  in
-  let lane_or_mem m =
-    let c = mem_fault_words.(m) in
-    if Diffstore.Counts.length c > 0 then
-      Diffstore.Counts.lane_or_into c lane_cand
-  in
-  (* Static per-position mask of stuck-at faults sited on a comb process's
-     write targets: such faults must execute whenever the node runs (see
-     the site note in [process_comb]), so their lanes join every candidate
-     set of that position. *)
-  let lane_site_cand =
-    if lanes_on then
-      Array.map
-        (function
-          | Kassign _ -> ba_masks 0
-          | Kproc p ->
-              let m = ba_masks ngroups in
-              Array.iter
-                (fun t ->
-                  List.iter
-                    (fun f ->
-                      let grp = Lanes.group f in
-                      Bigarray.Array1.unsafe_set m grp
-                        (Int64.logor
-                           (Bigarray.Array1.unsafe_get m grp)
-                           (Lanes.bit f)))
-                    site_faults.(t))
-                p.writes;
-              m)
-        comb_kinds
-    else [||]
-  in
-  let lane_or_masks (src : Diffstore.masks) =
-    let n = min ngroups (Bigarray.Array1.dim src) in
-    for grp = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set lane_cand grp
-        (Int64.logor
-           (Bigarray.Array1.unsafe_get lane_cand grp)
-           (Bigarray.Array1.unsafe_get src grp))
-    done
-  in
-  (* Identical-overlay sharing: faults whose visible overlays project the
-     same values onto a node's reads drive the exact same execution, so one
-     representative runs the network and the rest copy its outcome. The
-     overlay is fingerprinted to a plain int (FNV-style mix of the visible
-     (signal, value) projections in static read order) so the share tables
-     hash and compare immediates; a hit is confirmed by [lane_same_overlay]
-     before anything is copied, which makes fingerprint collisions
-     harmless — the collider just executes normally. A fault with any
-     visible diff in a read memory never shares (word-level divergence is
-     not captured by the fingerprint); [lane_overlay_hash] returns -1 for
-     it. *)
-  let rec lane_mems_clean f read_mems i =
-    i >= Array.length read_mems
-    || ((not (mem_visible f read_mems.(i)))
-       && lane_mems_clean f read_mems (i + 1))
-  in
-  let lane_overlay_hash f reads read_mems =
-    if not (lane_mems_clean f read_mems 0) then -1
-    else begin
-      let h = ref 17 in
-      for i = 0 to Array.length reads - 1 do
-        let id = reads.(i) in
-        let tbl = diffs.(id) in
-        if Diffstore.length tbl > 0 then begin
-          let good = State.get st id in
-          let v = Diffstore.find tbl f ~default:good in
-          if v <> good then begin
-            let hv = (!h * 0x01000193) lxor id in
-            let hv = (hv * 0x01000193) lxor (Int64.to_int v land 0xFFFFFF) in
-            let hv = (hv * 0x01000193) lxor (Int64.to_int (Int64.shift_right_logical v 24) land 0xFFFFFF) in
-            let hv = (hv * 0x01000193) lxor Int64.to_int (Int64.shift_right_logical v 48) in
-            h := hv land max_int
-          end
-        end
-      done;
-      !h
-    end
-  in
-  let rec lane_same_overlay f rep reads i =
-    i >= Array.length reads
-    || (let id = reads.(i) in
-        let tbl = diffs.(id) in
-        (Diffstore.length tbl = 0
-        ||
-        let good = State.get st id in
-        Diffstore.find tbl f ~default:good
-        = Diffstore.find tbl rep ~default:good)
-        && lane_same_overlay f rep reads (i + 1))
-  in
-  (* Sharing is record-free: a representative executes normally and the
-     table maps overlay fingerprint -> enough of the representative's
-     outcome to copy. Comb nodes store the rep's fault id (its post-exec
-     diffs on the node's targets ARE the shared raw outcome); assigns store
-     the rep and its raw evaluated value; ff procs store the rep plus
-     physical sublist markers into [fault_nba]/[fault_nba_mem] delimiting
-     the rep's own nonblocking writes (cons cells are immutable, so the
-     markers stay valid for the rest of the round). *)
-  let lane_comb_shared : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let lane_assign_shared : (int, int * int64) Hashtbl.t = Hashtbl.create 64 in
-  let lane_ff_shared :
-      ( int,
-        int
-        * (int * int * int64) list
-        * (int * int * int64) list
-        * (int * int * int * int * int64) list
-        * (int * int * int * int * int64) list )
-      Hashtbl.t =
-    Hashtbl.create 64
-  in
-  (* Drive one node round from the accumulated candidate masks: finalize
-     every group's candidates (mask with the live lanes, apply the node's
-     validity skip), then run [do_fault] for each candidate in ascending
-     fault order. Finalizing first is safe — a fault's execution only ever
-     invalidates its *own* lane bits, and each fault runs at most once per
-     round — and it yields the round population, which gates the
-     identical-overlay machinery: a lone candidate can never share, so its
-     key build would be pure waste. *)
-  let lane_drive ~packing ~use_valid ~mark_valid ~account pos do_fault =
-    let base = pos * ngroups in
-    let total = ref 0 in
-    for grp = 0 to ngroups - 1 do
-      let cand =
-        Int64.logand
-          (Bigarray.Array1.unsafe_get lane_cand grp)
-          (Bigarray.Array1.unsafe_get live_lanes grp)
-      in
-      let cand =
-        if use_valid then begin
-          let skip =
-            Int64.logand cand
-              (Int64.logand
-                 (Bigarray.Array1.unsafe_get lane_valid (base + grp))
-                 (Bigarray.Array1.unsafe_get packed_lanes grp))
-          in
-          if skip <> 0L then begin
-            lanes_skips := !lanes_skips + Lanes.popcount skip;
-            Int64.logand cand (Int64.lognot skip)
-          end
-          else cand
-        end
-        else cand
-      in
-      Bigarray.Array1.unsafe_set lane_cand grp cand;
-      if cand <> 0L then total := !total + Lanes.popcount cand
-    done;
-    let dedup_round = packing && !total > 1 in
-    for grp = 0 to ngroups - 1 do
-      let cand = Bigarray.Array1.unsafe_get lane_cand grp in
-      if cand <> 0L then begin
-        if account then lane_round_account cand grp;
-        let packed = Bigarray.Array1.unsafe_get packed_lanes grp in
-        Lanes.iter_lanes cand (fun l ->
-            do_fault
-              ~dedup:
-                (dedup_round
-                && Int64.logand packed (Int64.shift_left 1L l) <> 0L)
-              ((grp lsl 6) lor l));
-        if mark_valid then begin
-          let idx = base + grp in
-          Bigarray.Array1.unsafe_set lane_valid idx
-            (Int64.logor (Bigarray.Array1.unsafe_get lane_valid idx) cand)
-        end
-      end
-    done
-  in
   let mem_word_diff f m a =
     let good = State.get_mem st m a in
     Diffstore.find mem_diffs.(m) (mem_key m f a) ~default:good <> good
@@ -852,52 +585,17 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
               write_good a.target (a.eval good_reader)
         end;
         if gd || fd then begin
-          let do_fault ~dedup f =
-            cur_fault := f;
-            let shared =
-              dedup
-              &&
-              let key = lane_overlay_hash f a.reads a.read_mems in
-              key >= 0
-              &&
-              match Hashtbl.find_opt lane_assign_shared key with
-              | Some (rep, v) when lane_same_overlay f rep a.reads 0 ->
-                  incr lanes_shared;
-                  set_diff a.target f (force_if_site f a.target v);
-                  true
-              | Some _ -> false
-              | None ->
-                  stats.Stats.rtl_fault_eval <- stats.Stats.rtl_fault_eval + 1;
-                  let v = a.eval fault_reader in
-                  Hashtbl.replace lane_assign_shared key (f, v);
-                  set_diff a.target f (force_if_site f a.target v);
-                  true
-            in
-            if not shared then begin
+          begin_set ();
+          Array.iter add_sig_faults a.reads;
+          Array.iter add_mem_faults a.read_mems;
+          add_sig_faults a.target;
+          Ivec.iter
+            (fun f ->
+              cur_fault := f;
               stats.Stats.rtl_fault_eval <- stats.Stats.rtl_fault_eval + 1;
               set_diff a.target f
-                (force_if_site f a.target (a.eval fault_reader))
-            end
-          in
-          if lanes_on then begin
-            lane_begin ();
-            Array.iter lane_or_sig a.reads;
-            Array.iter lane_or_mem a.read_mems;
-            lane_or_sig a.target;
-            let packing = config.mode <> No_redundancy in
-            if packing && Hashtbl.length lane_assign_shared > 0 then
-              Hashtbl.clear lane_assign_shared;
-            lane_drive ~packing
-              ~use_valid:(packing && not gd)
-              ~mark_valid:true ~account:false pos do_fault
-          end
-          else begin
-            begin_set ();
-            Array.iter add_sig_faults a.reads;
-            Array.iter add_mem_faults a.read_mems;
-            add_sig_faults a.target;
-            Ivec.iter (fun f -> do_fault ~dedup:false f) fset
-          end
+                (force_if_site f a.target (a.eval fault_reader)))
+            fset
         end
     | Kproc p ->
         bn_begin ();
@@ -937,7 +635,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
             Array.exists (fun t -> t = fs) p.writes
           in
           let executed = ref 0 and implicit = ref 0 and expl = ref 0 in
-          let do_fault ~dedup f =
+          let do_fault f =
             cur_fault := f;
             let idiff = input_diff f p.reads p.read_mems in
             let must_exec =
@@ -961,35 +659,8 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
             if must_exec then begin
               incr executed;
               per_proc_exec.(p.pid) <- per_proc_exec.(p.pid) + 1;
-              let shared =
-                dedup
-                && (not (site_on_target f))
-                &&
-                let key = lane_overlay_hash f p.reads p.read_mems in
-                key >= 0
-                &&
-                match Hashtbl.find_opt lane_comb_shared key with
-                | Some rep when lane_same_overlay f rep p.reads 0 ->
-                    incr lanes_shared;
-                    (* comb bodies assign every target on every path, and
-                       neither fault is sited on a target (sharing excludes
-                       them), so the representative's post-exec values are
-                       the shared raw outcome *)
-                    Array.iter (fun t -> set_diff t f (fault_value rep t)) p.writes;
-                    true
-                | Some _ -> false
-                | None ->
-                    stats.Stats.bn_fault_exec <- stats.Stats.bn_fault_exec + 1;
-                    Compile.exec_i p.cp fault_reader comb_fault_writer;
-                    Hashtbl.replace lane_comb_shared key f;
-                    true
-              in
-              if not shared then begin
-                stats.Stats.bn_fault_exec <- stats.Stats.bn_fault_exec + 1;
-                if lanes_on && not (lane_is_packed f) then
-                  incr lanes_fallback_execs;
-                Compile.exec_i p.cp fault_reader comb_fault_writer
-              end
+              stats.Stats.bn_fault_exec <- stats.Stats.bn_fault_exec + 1;
+              Compile.exec_i p.cp fault_reader comb_fault_writer
             end
             else if not (idiff && config.mode = Full) then incr expl;
             if not must_exec then
@@ -999,38 +670,19 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
                 (fun t -> set_diff t f (force_if_site f t (State.get st t)))
                 p.writes
           in
-          if lanes_on then begin
-            lane_begin ();
-            (match config.mode with
-            | No_redundancy when gd ->
-                Bigarray.Array1.blit live_lanes lane_cand
-            | No_redundancy | Explicit_only | Full ->
-                Array.iter lane_or_sig p.reads;
-                Array.iter lane_or_mem p.read_mems;
-                Array.iter lane_or_sig p.writes;
-                lane_or_masks lane_site_cand.(pos));
-            let packing = config.mode <> No_redundancy in
-            if packing && Hashtbl.length lane_comb_shared > 0 then
-              Hashtbl.clear lane_comb_shared;
-            lane_drive ~packing
-              ~use_valid:(packing && not gd)
-              ~mark_valid:true ~account:true pos do_fault
-          end
-          else begin
-            begin_set ();
-            (match config.mode with
-            | No_redundancy when gd -> add_all_live ()
-            | No_redundancy | Explicit_only | Full ->
-                Array.iter add_sig_faults p.reads;
-                Array.iter add_mem_faults p.read_mems;
-                Array.iter add_sig_faults p.writes);
-            (* Faults sited on a blocking-write target must always execute:
-               forcing the bit at an intermediate write can steer a later
-               branch even when the final forced value happens to equal the
-               good value (so no diff survives to flag them). *)
-            Array.iter (fun t -> List.iter add_fault site_faults.(t)) p.writes;
-            Ivec.iter (fun f -> do_fault ~dedup:false f) fset
-          end;
+          begin_set ();
+          (match config.mode with
+          | No_redundancy when gd -> add_all_live ()
+          | No_redundancy | Explicit_only | Full ->
+              Array.iter add_sig_faults p.reads;
+              Array.iter add_mem_faults p.read_mems;
+              Array.iter add_sig_faults p.writes);
+          (* Faults sited on a blocking-write target must always execute:
+             forcing the bit at an intermediate write can steer a later
+             branch even when the final forced value happens to equal the
+             good value (so no diff survives to flag them). *)
+          Array.iter (fun t -> List.iter add_fault site_faults.(t)) p.writes;
+          Ivec.iter do_fault fset;
           stats.Stats.bn_skipped_implicit <-
             stats.Stats.bn_skipped_implicit + !implicit;
           let expl_here =
@@ -1177,7 +829,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
             in
             let live_at = !n_live in
             let executed = ref 0 and implicit = ref 0 and expl = ref 0 in
-            let do_fault ~dedup f =
+            let do_fault f =
               if not (is_suppressed f) then begin
                 cur_fault := f;
                 let idiff = input_diff f reads read_mems in
@@ -1200,58 +852,8 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
                   per_proc_exec.(pid) <- per_proc_exec.(pid) + 1;
                   Hashtbl.replace executed_pairs (pid, f) ();
                   preserve_for pid f;
-                  let shared =
-                    dedup
-                    &&
-                    let key = lane_overlay_hash f reads read_mems in
-                    key >= 0
-                    &&
-                    match Hashtbl.find_opt lane_ff_shared key with
-                    | Some (rep, sh, stl, mh, mtl)
-                      when lane_same_overlay f rep reads 0 ->
-                        incr lanes_shared;
-                            (* walk the rep's (newest-first) sublist and
-                               prepend on unwind, so the sharer's entries
-                               land in the rep's order *)
-                            let rec replay_sig l =
-                              if l == stl then ()
-                              else
-                                match l with
-                                | (_, id, v) :: tl ->
-                                    replay_sig tl;
-                                    fault_nba := (f, id, v) :: !fault_nba
-                                | [] -> ()
-                            in
-                            let rec replay_mem l =
-                              if l == mtl then ()
-                              else
-                                match l with
-                                | (_, _, m, a, v) :: tl ->
-                                    replay_mem tl;
-                                    fault_nba_mem :=
-                                      (pid, f, m, a, v) :: !fault_nba_mem
-                                | [] -> ()
-                            in
-                            replay_sig sh;
-                            replay_mem mh;
-                            true
-                    | Some _ -> false
-                    | None ->
-                        stats.Stats.bn_fault_exec <-
-                          stats.Stats.bn_fault_exec + 1;
-                        let nba0 = !fault_nba and nbam0 = !fault_nba_mem in
-                        Compile.exec_i cp fault_reader ff_fault_writer;
-                        Hashtbl.replace lane_ff_shared key
-                          (f, !fault_nba, nba0, !fault_nba_mem, nbam0);
-                        true
-                  in
-                  if not shared then begin
-                    stats.Stats.bn_fault_exec <-
-                      stats.Stats.bn_fault_exec + 1;
-                    if lanes_on && not (lane_is_packed f) then
-                      incr lanes_fallback_execs;
-                    Compile.exec_i cp fault_reader ff_fault_writer
-                  end
+                  stats.Stats.bn_fault_exec <- stats.Stats.bn_fault_exec + 1;
+                  Compile.exec_i cp fault_reader ff_fault_writer
                 end
                 else begin
                   if not (idiff && config.mode = Full) then incr expl;
@@ -1259,32 +861,15 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
                 end
               end
             in
-            if lanes_on then begin
-              lane_begin ();
-              (match config.mode with
-              | No_redundancy -> Bigarray.Array1.blit live_lanes lane_cand
-              | Explicit_only | Full ->
-                  Array.iter lane_or_sig reads;
-                  Array.iter lane_or_mem read_mems;
-                  Array.iter lane_or_sig g.proc_nb_writes.(pid);
-                  Array.iter lane_or_mem g.proc_write_mems.(pid));
-              let packing = config.mode <> No_redundancy in
-              if packing && Hashtbl.length lane_ff_shared > 0 then
-                Hashtbl.clear lane_ff_shared;
-              lane_drive ~packing ~use_valid:false ~mark_valid:false
-                ~account:true 0 do_fault
-            end
-            else begin
-              begin_set ();
-              (match config.mode with
-              | No_redundancy -> add_all_live ()
-              | Explicit_only | Full ->
-                  Array.iter add_sig_faults reads;
-                  Array.iter add_mem_faults read_mems;
-                  Array.iter add_sig_faults g.proc_nb_writes.(pid);
-                  Array.iter add_mem_faults g.proc_write_mems.(pid));
-              Ivec.iter (fun f -> do_fault ~dedup:false f) fset
-            end;
+            begin_set ();
+            (match config.mode with
+            | No_redundancy -> add_all_live ()
+            | Explicit_only | Full ->
+                Array.iter add_sig_faults reads;
+                Array.iter add_mem_faults read_mems;
+                Array.iter add_sig_faults g.proc_nb_writes.(pid);
+                Array.iter add_mem_faults g.proc_write_mems.(pid));
+            Ivec.iter do_fault fset;
             stats.Stats.bn_skipped_implicit <-
               stats.Stats.bn_skipped_implicit + !implicit;
             let expl_here =
@@ -1406,10 +991,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
           when f >= 0 && f < nfaults && live.(f) && Array.length g.outputs > 0
           ->
             let o = g.outputs.(0) in
-            set_diff o f (Int64.logxor (fault_value f o) 1L);
-            (* out-of-band corruption invalidates every cached lane
-               outcome of this fault *)
-            if lanes_on then lane_inval_all f
+            set_diff o f (Int64.logxor (fault_value f o) 1L)
         | Some _ | None -> ()));
     (match probe with
     | Some f ->
@@ -1431,13 +1013,6 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
               detected.(f) <- true;
               detection_cycle.(f) <- cycle;
               live.(f) <- false;
-              if lanes_on then begin
-                let grp = Lanes.group f in
-                Bigarray.Array1.unsafe_set live_lanes grp
-                  (Int64.logand
-                     (Bigarray.Array1.unsafe_get live_lanes grp)
-                     (Int64.lognot (Lanes.bit f)))
-              end;
               decr n_live)
             scratch_dead
         end)
@@ -1586,14 +1161,6 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
           pr_expl = per_proc_expl.(pid);
         })
       d.procs;
-  (match Sys.getenv_opt "ERASER_PROC_STATS" with
-  | Some _ ->
-      Array.iter
-        (fun (r : Stats.proc_row) ->
-          Format.eprintf "proc %-16s exec=%d impl=%d expl=%d@." r.pr_name
-            r.pr_exec r.pr_impl r.pr_expl)
-        stats.Stats.per_proc
-  | None -> ());
   (* debug knob: simulate an engine bug by flipping one verdict, so the
      online divergence check of the resilient runner can be exercised *)
   (match config.corrupt_verdict with
@@ -1625,12 +1192,6 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
     Obs.Metrics.add "engine.bn_skip_implicit" stats.Stats.bn_skipped_implicit;
     Obs.Metrics.add "engine.rtl_good_eval" stats.Stats.rtl_good_eval;
     Obs.Metrics.add "engine.rtl_fault_eval" stats.Stats.rtl_fault_eval;
-    if lanes_on then begin
-      Obs.Metrics.add "lanes.packed" !lanes_packed_total;
-      Obs.Metrics.add "lanes.scalar_fallback" !lanes_fallback_execs;
-      Obs.Metrics.add "lanes.shared_exec" !lanes_shared;
-      Obs.Metrics.add "lanes.valid_skips" !lanes_skips
-    end;
     Array.iter
       (fun (r : Stats.proc_row) ->
         Obs.Metrics.add ("engine.proc." ^ r.pr_name ^ ".exec") r.pr_exec;
@@ -1648,12 +1209,6 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
         Obs.Metrics.observe "engine.detection_latency_cycles"
           (float_of_int detection_cycle.(f))
     done
-  end;
-  if lanes_on then begin
-    stats.Stats.lane_groups <- lplan.Lanes.groups;
-    stats.Stats.lane_occ_sum <- !lane_occ_sum;
-    stats.Stats.lane_occ_rounds <- !lane_occ_rounds;
-    stats.Stats.scalar_fallbacks <- lplan.Lanes.fallback_count
   end;
   Fault.make_result ~detected ~detection_cycle ~stats ~wall_time:wall ()
 

@@ -46,15 +46,6 @@ type config = {
       (** debug knob: flip the verdict of this fault id after the run,
           simulating an engine bug. Used to exercise the resilient runner's
           online divergence quarantine; ids out of range are ignored. *)
-  lanes : bool;
-      (** lane-packed batching: group the batch into 64-wide lane groups
-          (fault id [f] = lane [f land 63] of group [f lsr 6]) and drive
-          each node's per-fault round from the diff stores' lane masks
-          instead of per-signal key iteration, with per-node lane validity
-          skip and identical-overlay execution sharing. Transients fall
-          back to the scalar path. Verdicts are bit-identical to scalar
-          mode; execution counters (not verdicts) may differ. Default
-          [false]. *)
 }
 
 val default_config : config
@@ -81,9 +72,9 @@ type instance
 val instance : Elaborate.t -> instance
 
 (** Run a fault-simulation campaign. The result's detected set matches the
-    serial per-fault oracle for any mode. Setting the environment variable
-    [ERASER_PROC_STATS] prints per-process executed/implicit counters to
-    stderr at the end of the run (a profiling aid).
+    serial per-fault oracle for any mode. Per-process executed/skipped
+    counters are in the result's [Stats.per_proc] (and, with metrics on,
+    the [engine.proc.<name>.*] counters).
 
     [?goodtrace] warm-starts the run from a captured good trace (see
     {!capture}): the good network is not re-simulated — its recorded

@@ -1,5 +1,4 @@
 type i64a = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type masks = i64a
 
 (* Slot states in [keys]: -1 empty, -2 tombstone, otherwise the key. *)
 let empty_slot = -1
@@ -26,7 +25,6 @@ type t = {
   mutable count : int;  (* live entries *)
   mutable used : int;  (* live + tombstones *)
   base_cap : int;  (* capacity_for the creation-time expectation *)
-  lanes : i64a;  (* per lane group: bit [key land 63] set iff key present *)
 }
 
 let make_vals cap =
@@ -34,7 +32,7 @@ let make_vals cap =
   Bigarray.Array1.fill a 0L;
   a
 
-let create ?(lane_groups = 0) ~expect () =
+let create ~expect () =
   let cap = capacity_for expect in
   {
     keys = Array.make cap empty_slot;
@@ -43,46 +41,9 @@ let create ?(lane_groups = 0) ~expect () =
     count = 0;
     used = 0;
     base_cap = cap;
-    lanes = make_vals (max lane_groups 1);
   }
 
 let capacity t = Array.length t.keys
-let lane_groups t = Bigarray.Array1.dim t.lanes
-
-let lane_mask t g =
-  if g < Bigarray.Array1.dim t.lanes then Bigarray.Array1.unsafe_get t.lanes g
-  else 0L
-
-(* The engine's per-round candidate collection ORs every read signal's
-   group masks into one accumulator; doing it here keeps the int64 traffic
-   unboxed (OCaml boxes every [int64 array] store, a Bigarray round-trip
-   does not). *)
-let lane_or_into t (dst : masks) =
-  let src = t.lanes in
-  let n = min (Bigarray.Array1.dim src) (Bigarray.Array1.dim dst) in
-  for g = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set dst g
-      (Int64.logor
-         (Bigarray.Array1.unsafe_get dst g)
-         (Bigarray.Array1.unsafe_get src g))
-  done
-
-let[@inline] lane_add t key =
-  let g = key lsr 6 in
-  if g < Bigarray.Array1.dim t.lanes then
-    Bigarray.Array1.unsafe_set t.lanes g
-      (Int64.logor
-         (Bigarray.Array1.unsafe_get t.lanes g)
-         (Int64.shift_left 1L (key land 63)))
-
-let[@inline] lane_del t key =
-  let g = key lsr 6 in
-  if g < Bigarray.Array1.dim t.lanes then
-    Bigarray.Array1.unsafe_set t.lanes g
-      (Int64.logand
-         (Bigarray.Array1.unsafe_get t.lanes g)
-         (Int64.lognot (Int64.shift_left 1L (key land 63))))
-
 let length t = t.count
 let is_empty t = t.count = 0
 
@@ -138,7 +99,6 @@ let set t key v =
       Array.unsafe_set keys target key;
       Bigarray.Array1.unsafe_set t.vals target v;
       t.count <- t.count + 1;
-      lane_add t key;
       if target = i then begin
         t.used <- t.used + 1;
         if 2 * t.used > mask then rehash t (2 * (mask + 1))
@@ -154,8 +114,7 @@ let remove t key =
   let i = find_slot t key in
   if i >= 0 then begin
     t.keys.(i) <- tombstone;
-    t.count <- t.count - 1;
-    lane_del t key
+    t.count <- t.count - 1
   end
 
 let clear t =
@@ -166,8 +125,7 @@ let clear t =
   end
   else Array.fill t.keys 0 (Array.length t.keys) empty_slot;
   t.count <- 0;
-  t.used <- 0;
-  Bigarray.Array1.fill t.lanes 0L
+  t.used <- 0
 
 let iter t f =
   let keys = t.keys in
@@ -191,10 +149,9 @@ module Counts = struct
     mutable count : int;
     mutable used : int;
     base_cap : int;
-    lanes : i64a;
   }
 
-  let create ?(lane_groups = 0) ~expect () =
+  let create ~expect () =
     let cap = capacity_for expect in
     {
       keys = Array.make cap empty_slot;
@@ -203,39 +160,7 @@ module Counts = struct
       count = 0;
       used = 0;
       base_cap = cap;
-      lanes = make_vals (max lane_groups 1);
     }
-
-  let lane_mask t g =
-    if g < Bigarray.Array1.dim t.lanes then
-      Bigarray.Array1.unsafe_get t.lanes g
-    else 0L
-
-  let lane_or_into t (dst : masks) =
-    let src = t.lanes in
-    let n = min (Bigarray.Array1.dim src) (Bigarray.Array1.dim dst) in
-    for g = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set dst g
-        (Int64.logor
-           (Bigarray.Array1.unsafe_get dst g)
-           (Bigarray.Array1.unsafe_get src g))
-    done
-
-  let[@inline] lane_add t key =
-    let g = key lsr 6 in
-    if g < Bigarray.Array1.dim t.lanes then
-      Bigarray.Array1.unsafe_set t.lanes g
-        (Int64.logor
-           (Bigarray.Array1.unsafe_get t.lanes g)
-           (Int64.shift_left 1L (key land 63)))
-
-  let[@inline] lane_del t key =
-    let g = key lsr 6 in
-    if g < Bigarray.Array1.dim t.lanes then
-      Bigarray.Array1.unsafe_set t.lanes g
-        (Int64.logand
-           (Bigarray.Array1.unsafe_get t.lanes g)
-           (Int64.lognot (Int64.shift_left 1L (key land 63))))
 
   let length t = t.count
 
@@ -283,8 +208,7 @@ module Counts = struct
         let c = t.cnts.(i) + delta in
         if c <= 0 then begin
           keys.(i) <- tombstone;
-          t.count <- t.count - 1;
-          lane_del t key
+          t.count <- t.count - 1
         end
         else t.cnts.(i) <- c
       end
@@ -294,7 +218,6 @@ module Counts = struct
           Array.unsafe_set keys target key;
           Array.unsafe_set t.cnts target delta;
           t.count <- t.count + 1;
-          lane_add t key;
           if target = i then begin
             t.used <- t.used + 1;
             if 2 * t.used > mask then rehash t (2 * (mask + 1))
@@ -322,6 +245,5 @@ module Counts = struct
     end
     else Array.fill t.keys 0 (Array.length t.keys) empty_slot;
     t.count <- 0;
-    t.used <- 0;
-    Bigarray.Array1.fill t.lanes 0L
+    t.used <- 0
 end

@@ -19,17 +19,9 @@
 
 type t
 
-(** Unboxed lane-mask accumulator (one 64-bit word per lane group), shared
-    with the engine's candidate collection. *)
-type masks = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 (** [create ~expect ()] sizes the table for [expect] expected entries (the
-    fault-batch width); the table grows as needed beyond that.
-    [lane_groups] (default 0) enables lane-mask maintenance: the table
-    keeps, per group [g], a 64-bit presence mask with bit [key land 63]
-    set for every live key in [g*64 .. g*64+63]. Keys at or beyond
-    [lane_groups * 64] are stored normally but not mask-tracked. *)
-val create : ?lane_groups:int -> expect:int -> unit -> t
+    fault-batch width); the table grows as needed beyond that. *)
+val create : expect:int -> unit -> t
 
 val length : t -> int
 val is_empty : t -> bool
@@ -37,18 +29,6 @@ val mem : t -> int -> bool
 
 (** Current slot-array capacity (exposed for the shrink-on-clear test). *)
 val capacity : t -> int
-
-(** Number of lane groups this table tracks (0 when tracking is off). *)
-val lane_groups : t -> int
-
-(** [lane_mask t g] — presence mask of lane group [g] ([0L] when out of
-    range or tracking is off). *)
-val lane_mask : t -> int -> int64
-
-(** [lane_or_into t dst] ORs every tracked group mask into [dst]
-    (element-wise, over the shorter of the two extents) without boxing
-    the intermediate words. *)
-val lane_or_into : t -> masks -> unit
 
 (** [find t key ~default] — the stored payload, or [default] when absent. *)
 val find : t -> int -> default:int64 -> int64
@@ -72,16 +52,14 @@ val iter_keys : t -> (int -> unit) -> unit
 
 (** Open-addressing int -> int refcount table ([bump] removes entries that
     drop to zero) — the [mem_fault_words] "does fault [f] diverge anywhere
-    in this memory" index. Supports the same optional lane-mask tracking
-    and shrink-on-clear policy as the payload table. *)
+    in this memory" index, with the same shrink-on-clear policy as the
+    payload table. *)
 module Counts : sig
   type t
 
-  val create : ?lane_groups:int -> expect:int -> unit -> t
+  val create : expect:int -> unit -> t
   val length : t -> int
   val mem : t -> int -> bool
-  val lane_mask : t -> int -> int64
-  val lane_or_into : t -> masks -> unit
   val bump : t -> int -> int -> unit
   val iter_keys : t -> (int -> unit) -> unit
   val clear : t -> unit

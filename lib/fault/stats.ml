@@ -17,10 +17,6 @@ type t = {
   mutable cone_pruned : int;
   mutable plan_batches : int;
   mutable plan_snapshots : int;
-  mutable lane_groups : int;
-  mutable lane_occ_sum : int;
-  mutable lane_occ_rounds : int;
-  mutable scalar_fallbacks : int;
   mutable bn_seconds : float;
   mutable cpu_seconds : float;
   mutable total_seconds : float;
@@ -57,10 +53,6 @@ let create () =
     cone_pruned = 0;
     plan_batches = 0;
     plan_snapshots = 0;
-    lane_groups = 0;
-    lane_occ_sum = 0;
-    lane_occ_rounds = 0;
-    scalar_fallbacks = 0;
     bn_seconds = 0.0;
     cpu_seconds = 0.0;
     total_seconds = 0.0;
@@ -77,12 +69,6 @@ let pct part whole =
 
 let explicit_pct t = pct t.bn_skipped_explicit (total_bn_executions t)
 let implicit_pct t = pct t.bn_skipped_implicit (total_bn_executions t)
-
-(* Mean packed-lane occupancy over the behavior-network rounds of a
-   lane-mode run (0.0 when lane mode never ran). *)
-let lane_occupancy_mean t =
-  if t.lane_occ_rounds = 0 then 0.0
-  else float_of_int t.lane_occ_sum /. float_of_int t.lane_occ_rounds
 
 let bn_time_pct t =
   let denom = if t.cpu_seconds > 0.0 then t.cpu_seconds else t.total_seconds in
@@ -148,10 +134,6 @@ let add a b =
     (* plan shape is coordinator-set, never per-batch: keep the larger *)
     plan_batches = max a.plan_batches b.plan_batches;
     plan_snapshots = max a.plan_snapshots b.plan_snapshots;
-    lane_groups = a.lane_groups + b.lane_groups;
-    lane_occ_sum = a.lane_occ_sum + b.lane_occ_sum;
-    lane_occ_rounds = a.lane_occ_rounds + b.lane_occ_rounds;
-    scalar_fallbacks = a.scalar_fallbacks + b.scalar_fallbacks;
     bn_seconds = a.bn_seconds +. b.bn_seconds;
     cpu_seconds = a.cpu_seconds +. b.cpu_seconds;
     total_seconds = Float.max a.total_seconds b.total_seconds;

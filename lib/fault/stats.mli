@@ -41,15 +41,6 @@ type t = {
   mutable plan_snapshots : int;
       (** snapshots held by the plan's (possibly re-planned) good trace;
           coordinator-set like [plan_batches] *)
-  mutable lane_groups : int;
-      (** 64-wide lane groups the engine packed its batches into (0 when
-          lane mode is off); summed across batches by {!add} *)
-  mutable lane_occ_sum : int;
-      (** summed lane occupancy over all lane-mode behavior-network rounds;
-          divide by [lane_occ_rounds] (see {!lane_occupancy_mean}) *)
-  mutable lane_occ_rounds : int;  (** lane-mode behavior-network rounds *)
-  mutable scalar_fallbacks : int;
-      (** faults a lane plan demoted to the scalar path (transients) *)
   mutable bn_seconds : float;
       (** CPU time inside behavioral execution, summed across workers
           (only when instrumented) *)
@@ -89,10 +80,6 @@ val implicit_pct : t -> float
     sum); falls back to [total_seconds] when no CPU time was recorded
     (e.g. stats reconstructed from a journal). *)
 val bn_time_pct : t -> float
-
-(** Mean lane occupancy per behavior-network round of a lane-mode run;
-    [0.0] when lane mode never ran. *)
-val lane_occupancy_mean : t -> float
 
 (** Merge two workers' counters. Integer counters, [bn_seconds] and
     [cpu_seconds] are summed; [total_seconds] is the max (wall clocks of

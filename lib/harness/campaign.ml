@@ -16,12 +16,11 @@ let concurrent_mode = function
   | Eraser -> Engine.Concurrent.Full
   | Ifsim | Vfsim -> invalid_arg "concurrent_mode"
 
-let config_of ?(lanes = false) ~instrument engine =
+let config_of ~instrument engine =
   {
     Engine.Concurrent.default_config with
     mode = concurrent_mode engine;
     instrument;
-    lanes;
   }
 
 let renumber faults ids =
@@ -32,14 +31,14 @@ let renumber faults ids =
    (engine, fault-id subset) through here. Serial baselines renumber the
    subset themselves; concurrent engines go through [run_batch], whose
    renumbering keeps verdict indexes aligned with [ids]. *)
-let dispatch ?(instrument = false) ?(lanes = false) ?config ?probe ?goodtrace
+let dispatch ?(instrument = false) ?config ?probe ?goodtrace
     ?instance engine (g : Rtlir.Elaborate.t) w faults ~ids =
   match engine with
   | Ifsim -> Baselines.Serial.ifsim g w (renumber faults ids)
   | Vfsim -> Baselines.Serial.vfsim g w (renumber faults ids)
   | e ->
       let config =
-        match config with Some c -> c | None -> config_of ~lanes ~instrument e
+        match config with Some c -> c | None -> config_of ~instrument e
       in
       Engine.Concurrent.run_batch ~config ?probe ?goodtrace ?instance g w
         faults ~ids
@@ -67,19 +66,19 @@ let merge_batches ~t0 ~n batch_ids results =
   !stats.Stats.total_seconds <- wall;
   Fault.make_result ~detected ~detection_cycle ~stats:!stats ~wall_time:wall ()
 
-let run ?(instrument = false) ?(lanes = false) ?(jobs = 1) ?(warmstart = false)
+let run ?(instrument = false) ?(jobs = 1) ?(warmstart = false)
     ?snapshot_every ?schedule ?capture_mem_limit engine
     (g : Rtlir.Elaborate.t) w faults =
   if jobs < 1 then invalid_arg "Campaign.run: jobs must be >= 1";
   let open Faultsim in
   let n = Array.length faults in
-  if n = 0 then dispatch ~instrument ~lanes engine g w faults ~ids:[||]
+  if n = 0 then dispatch ~instrument engine g w faults ~ids:[||]
   else begin
     let t0 = Stats.now () in
     let warm =
       match engine with
       | Z01x_proxy | Eraser_mm | Eraser_m | Eraser when warmstart ->
-          let config = config_of ~lanes ~instrument engine in
+          let config = config_of ~instrument engine in
           let cone = Flow.Cone.build g in
           let trace = Engine.Concurrent.capture ~config ?snapshot_every g w in
           let acts = Engine.Concurrent.activations ~cone trace g faults in
@@ -95,11 +94,9 @@ let run ?(instrument = false) ?(lanes = false) ?(jobs = 1) ?(warmstart = false)
       | None, Some _ -> Schedule.Adaptive
       | None, None -> Schedule.Fixed
     in
-    let granularity =
-      if lanes then Schedule.Lanes jobs else Schedule.Chunks jobs
-    in
     let plan =
-      Schedule.plan ~policy ~granularity ?capture_mem_limit ?warm ~design:g ~n
+      Schedule.plan ~policy ~granularity:(Schedule.Chunks jobs)
+        ?capture_mem_limit ?warm ~design:g ~n
         ()
     in
     let npruned = Array.length plan.Schedule.sp_pruned in
@@ -107,7 +104,7 @@ let run ?(instrument = false) ?(lanes = false) ?(jobs = 1) ?(warmstart = false)
     let batches = plan.Schedule.sp_batches in
     let nb = Array.length batches in
     let run_b (b : Schedule.batch) =
-      dispatch ~instrument ~lanes
+      dispatch ~instrument
         ?goodtrace:(Schedule.warm_for plan b.Schedule.sb_ids)
         engine g w faults ~ids:b.Schedule.sb_ids
     in
@@ -158,8 +155,8 @@ let run ?(instrument = false) ?(lanes = false) ?(jobs = 1) ?(warmstart = false)
     r
   end
 
-let run_circuit ?instrument ?lanes ?jobs ?warmstart ?snapshot_every ?schedule
+let run_circuit ?instrument ?jobs ?warmstart ?snapshot_every ?schedule
     ?capture_mem_limit engine (c : Circuits.Bench_circuit.t) ~scale =
   let _, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
-  run ?instrument ?lanes ?jobs ?warmstart ?snapshot_every ?schedule
+  run ?instrument ?jobs ?warmstart ?snapshot_every ?schedule
     ?capture_mem_limit engine g w faults

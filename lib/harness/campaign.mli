@@ -33,7 +33,6 @@ val concurrent_mode : engine -> Engine.Concurrent.mode
     engine match must exist exactly once. *)
 val dispatch :
   ?instrument:bool ->
-  ?lanes:bool ->
   ?config:Engine.Concurrent.config ->
   ?probe:(int -> (int -> int -> Rtlir.Bits.t) -> (int -> int -> int -> Rtlir.Bits.t) -> unit) ->
   ?goodtrace:Sim.Goodtrace.warm ->
@@ -69,17 +68,9 @@ val dispatch :
     [?snapshot_every] overrides the capture's snapshot interval (see
     {!Engine.Concurrent.capture}); it only affects warm-started runs.
 
-    [?lanes] (default [false], concurrent engines only) switches every
-    dispatched batch to the engine's lane-packed execution mode and the
-    plan's granularity to [Lanes jobs] (batch cuts snap to 64-fault
-    lane-group boundaries). Verdicts and detection cycles are identical to
-    scalar mode; execution counters differ (lane-mode runs also fill the
-    [lane_groups] / [scalar_fallbacks] / occupancy stats).
-
     Whatever the options, execution is "plan, then execute plan": the
     fault set is decomposed by {!Schedule.plan} (granularity
-    [Chunks jobs], or [Lanes jobs] under [?lanes]), every batch is
-    dispatched through {!dispatch} with the
+    [Chunks jobs]), every batch is dispatched through {!dispatch} with the
     plan's warm start, and results merge in plan order. [?schedule] picks
     the planner policy (default [Adaptive] for warm runs; cold runs always
     degrade to [Fixed], which reproduces the historical contiguous-chunk
@@ -88,7 +79,6 @@ val dispatch :
     byte-identical across policies — batches never interact. *)
 val run :
   ?instrument:bool ->
-  ?lanes:bool ->
   ?jobs:int ->
   ?warmstart:bool ->
   ?snapshot_every:int ->
@@ -103,7 +93,6 @@ val run :
 (** Instantiate a registered circuit and run it on one engine. *)
 val run_circuit :
   ?instrument:bool ->
-  ?lanes:bool ->
   ?jobs:int ->
   ?warmstart:bool ->
   ?snapshot_every:int ->

@@ -635,110 +635,6 @@ let schedule_json ~scale rows =
       ("circuits", Jsonl.List (List.map row_json rows));
     ]
 
-type lane_row = {
-  ln_name : string;
-  ln_faults : int;
-  ln_cycles : int;
-  ln_capture_wall : float;
-  ln_scalar_wall : float;
-  ln_packed_wall : float;
-  ln_scalar_bn : int;
-  ln_packed_bn : int;
-  ln_groups : int;
-  ln_occupancy_mean : float;
-  ln_fallbacks : int;
-  ln_verdicts_equal : bool;
-}
-
-let lanes_names = [ "alu"; "sha256_hv"; "fpu" ]
-
-(* Lane-packing benchmark (DESIGN.md §16): the same warm resilient campaign
-   scalar and lane-packed, sharing one good-trace capture through
-   [config.capture] so the comparison isolates the execution mode. The
-   packed run must strictly reduce faulty behavior-network executions —
-   identical-overlay lanes share one pass — while reporting the exact
-   scalar verdicts. Wall times are best-of-[reps]: the campaigns are short
-   at bench-smoke scale and a single sample is at the mercy of the
-   scheduler, but the bn counters are deterministic and come from the
-   first run. *)
-let lanes ?(jobs = 1) ?(reps = 3) ~scale () =
-  List.map
-    (fun name ->
-      let c = Circuits.find name in
-      let _, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
-      let n = Array.length faults in
-      let t0 = Stats.now () in
-      let cap = Engine.Concurrent.capture g w in
-      let capture_wall = Stats.now () -. t0 in
-      let base =
-        {
-          Resilient.default_config with
-          Resilient.jobs;
-          batch_size = n;
-          warmstart = true;
-          capture = Some cap;
-        }
-      in
-      let measure lanes =
-        let first =
-          Resilient.run ~config:{ base with Resilient.lanes } g w faults
-        in
-        let best = ref first.Resilient.result.Fault.wall_time in
-        for _ = 2 to reps do
-          let again =
-            Resilient.run ~config:{ base with Resilient.lanes } g w faults
-          in
-          let wt = again.Resilient.result.Fault.wall_time in
-          if wt < !best then best := wt
-        done;
-        (first.Resilient.result, !best)
-      in
-      let sr, scalar_wall = measure false in
-      let pr, packed_wall = measure true in
-      let ps = pr.Fault.stats in
-      {
-        ln_name = c.paper_name;
-        ln_faults = n;
-        ln_cycles = w.Workload.cycles;
-        ln_capture_wall = capture_wall;
-        ln_scalar_wall = scalar_wall;
-        ln_packed_wall = packed_wall;
-        ln_scalar_bn = sr.Fault.stats.Stats.bn_fault_exec;
-        ln_packed_bn = ps.Stats.bn_fault_exec;
-        ln_groups = ps.Stats.lane_groups;
-        ln_occupancy_mean = Stats.lane_occupancy_mean ps;
-        ln_fallbacks = ps.Stats.scalar_fallbacks;
-        ln_verdicts_equal =
-          sr.Fault.detected = pr.Fault.detected
-          && sr.Fault.detection_cycle = pr.Fault.detection_cycle;
-      })
-    lanes_names
-
-let lanes_json ~scale rows =
-  let row_json r =
-    Jsonl.Obj
-      [
-        ("name", Jsonl.String r.ln_name);
-        ("faults", Jsonl.Int r.ln_faults);
-        ("cycles", Jsonl.Int r.ln_cycles);
-        ("capture_wall_s", Jsonl.Float r.ln_capture_wall);
-        ("scalar_wall_s", Jsonl.Float r.ln_scalar_wall);
-        ("packed_wall_s", Jsonl.Float r.ln_packed_wall);
-        ("scalar_bn_fault_exec", Jsonl.Int r.ln_scalar_bn);
-        ("packed_bn_fault_exec", Jsonl.Int r.ln_packed_bn);
-        ("lane_groups", Jsonl.Int r.ln_groups);
-        ("lane_occupancy_mean", Jsonl.Float r.ln_occupancy_mean);
-        ("scalar_fallbacks", Jsonl.Int r.ln_fallbacks);
-        ("verdicts_equal", Jsonl.Bool r.ln_verdicts_equal);
-      ]
-  in
-  Jsonl.Obj
-    [
-      ("experiment", Jsonl.String "lanes");
-      ("scale", Jsonl.Float scale);
-      ("circuits", Jsonl.List (List.map row_json rows));
-    ]
-
 let mean_speedup rows ~num ~den =
   let log_sum, n =
     List.fold_left

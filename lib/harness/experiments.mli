@@ -198,32 +198,3 @@ val schedule : ?jobs:int -> scale:float -> unit -> schedule_row list
     policies: [{policy, good_cycles_skipped, wall_s, plan_batches,
     plan_snapshots, verdicts_equal}]}]}]. *)
 val schedule_json : scale:float -> schedule_row list -> Jsonl.t
-
-type lane_row = {
-  ln_name : string;
-  ln_faults : int;
-  ln_cycles : int;
-  ln_capture_wall : float;  (** the one shared capture run *)
-  ln_scalar_wall : float;  (** warm scalar campaign, best of [reps] *)
-  ln_packed_wall : float;  (** warm lane-packed campaign, best of [reps] *)
-  ln_scalar_bn : int;  (** [bn_fault_exec] of the scalar run *)
-  ln_packed_bn : int;  (** [bn_fault_exec] of the lane-packed run *)
-  ln_groups : int;
-  ln_occupancy_mean : float;
-  ln_fallbacks : int;
-  ln_verdicts_equal : bool;  (** packed verdicts match the scalar run *)
-}
-
-(** Lane-packing benchmark (DESIGN.md §16): the same warm resilient
-    campaign scalar and lane-packed, sharing one good-trace capture per
-    circuit through [config.capture]. The packed run must reproduce the
-    scalar verdicts exactly while executing strictly fewer faulty
-    behavior-network passes. *)
-val lanes : ?jobs:int -> ?reps:int -> scale:float -> unit -> lane_row list
-
-(** One-line JSON document for [BENCH_lanes.json]: [{experiment, scale,
-    circuits: [{name, faults, cycles, capture_wall_s, scalar_wall_s,
-    packed_wall_s, scalar_bn_fault_exec, packed_bn_fault_exec,
-    lane_groups, lane_occupancy_mean, scalar_fallbacks,
-    verdicts_equal}]}]. *)
-val lanes_json : scale:float -> lane_row list -> Jsonl.t

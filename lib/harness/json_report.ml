@@ -62,15 +62,6 @@ let campaign ppf ~design ~engine ~faults ~verdicts (r : Fault.result) =
   if s.Stats.plan_batches > 0 then
     Format.fprintf ppf "\"plan_batches\": %d, \"plan_snapshots\": %d, "
       s.Stats.plan_batches s.Stats.plan_snapshots;
-  (* lane fields only when lane mode ran, so scalar reports keep their
-     historical byte format *)
-  if s.Stats.lane_groups > 0 then
-    Format.fprintf ppf
-      "\"lane_groups\": %d, \"lane_occupancy_mean\": %.4f, \
-       \"scalar_fallbacks\": %d, "
-      s.Stats.lane_groups
-      (Stats.lane_occupancy_mean s)
-      s.Stats.scalar_fallbacks;
   Format.fprintf ppf "\"bn_seconds\": %.6f, \"cpu_seconds\": %.6f },@."
     s.Stats.bn_seconds s.Stats.cpu_seconds;
   Format.fprintf ppf "  \"per_proc\": [@.";

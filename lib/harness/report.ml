@@ -199,22 +199,6 @@ let schedule ppf rows =
       Format.fprintf ppf "@.")
     rows
 
-let lanes ppf rows =
-  Format.fprintf ppf
-    "Lanes: scalar vs 64-wide lane-packed execution (one shared capture)@.";
-  Format.fprintf ppf "  %-12s %7s %7s %10s %10s %10s %10s %6s %6s %5s %8s@."
-    "Benchmark" "#Faults" "#Cycles" "scalar(s)" "packed(s)" "scalar_bn"
-    "packed_bn" "groups" "occ" "fb" "verdicts";
-  List.iter
-    (fun (r : Experiments.lane_row) ->
-      Format.fprintf ppf
-        "  %-12s %7d %7d %10.3f %10.3f %10d %10d %6d %6.1f %5d %8s@."
-        r.ln_name r.ln_faults r.ln_cycles r.ln_scalar_wall r.ln_packed_wall
-        r.ln_scalar_bn r.ln_packed_bn r.ln_groups r.ln_occupancy_mean
-        r.ln_fallbacks
-        (if r.ln_verdicts_equal then "equal" else "DIFFER"))
-    rows
-
 let resilience ppf rows =
   Format.fprintf ppf
     "Resilient runner: batched / resumed coverage parity and divergence \

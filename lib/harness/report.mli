@@ -27,6 +27,3 @@ val activation : Format.formatter -> Experiments.activation_row list -> unit
 
 (** Text table for the schedule-policy benchmark. *)
 val schedule : Format.formatter -> Experiments.schedule_row list -> unit
-
-(** Text table for the lane-packing benchmark. *)
-val lanes : Format.formatter -> Experiments.lane_row list -> unit

@@ -65,7 +65,6 @@ type config = {
   repro_dir : string option;
   repro_meta : (string * float) option;
   warmstart : bool;
-  lanes : bool;
   snapshot_every : int option;
   schedule : Schedule.policy option;
   capture : Sim.Goodtrace.t option;
@@ -91,7 +90,6 @@ let default_config =
     repro_dir = None;
     repro_meta = None;
     warmstart = false;
-    lanes = false;
     snapshot_every = None;
     schedule = None;
     capture = None;
@@ -159,11 +157,7 @@ let header_json ~design_name ?schedule cfg (w : Workload.t) nfaults =
          (match schedule with
          | Some s -> [ ("schedule", Jsonl.String s) ]
          | None -> [])
-       else [])
-    (* only present on lane-mode campaigns, so every pre-lane journal
-       keeps its bytes; resume adopts it like ["warmstart"] *)
-    @
-    if cfg.lanes then [ ("lanes", Jsonl.Bool true) ] else [])
+       else []))
 
 let stats_to_json (s : Stats.t) =
   Jsonl.Obj
@@ -178,18 +172,8 @@ let stats_to_json (s : Stats.t) =
     (* warm-started batches only, so cold journals keep their historical
        byte format *)
     @
-    (if s.Stats.good_cycles_skipped = 0 then []
-     else [ ("good_cycles_skipped", Jsonl.Int s.Stats.good_cycles_skipped) ])
-    (* lane-mode batches only, so scalar journals keep their bytes *)
-    @
-    if s.Stats.lane_groups = 0 then []
-    else
-      [
-        ("lane_groups", Jsonl.Int s.Stats.lane_groups);
-        ("lane_occ_sum", Jsonl.Int s.Stats.lane_occ_sum);
-        ("lane_occ_rounds", Jsonl.Int s.Stats.lane_occ_rounds);
-        ("scalar_fallbacks", Jsonl.Int s.Stats.scalar_fallbacks);
-      ])
+    if s.Stats.good_cycles_skipped = 0 then []
+    else [ ("good_cycles_skipped", Jsonl.Int s.Stats.good_cycles_skipped) ])
 
 let stats_of_json j =
   let s = Stats.create () in
@@ -201,18 +185,6 @@ let stats_of_json j =
   s.Stats.rtl_fault_eval <- Jsonl.get_int "rtl_fault_eval" j;
   (match Jsonl.member "good_cycles_skipped" j with
   | Some (Jsonl.Int k) -> s.Stats.good_cycles_skipped <- k
-  | _ -> ());
-  (match Jsonl.member "lane_groups" j with
-  | Some (Jsonl.Int k) -> s.Stats.lane_groups <- k
-  | _ -> ());
-  (match Jsonl.member "lane_occ_sum" j with
-  | Some (Jsonl.Int k) -> s.Stats.lane_occ_sum <- k
-  | _ -> ());
-  (match Jsonl.member "lane_occ_rounds" j with
-  | Some (Jsonl.Int k) -> s.Stats.lane_occ_rounds <- k
-  | _ -> ());
-  (match Jsonl.member "scalar_fallbacks" j with
-  | Some (Jsonl.Int k) -> s.Stats.scalar_fallbacks <- k
   | _ -> ());
   s
 
@@ -572,16 +544,10 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
                   | Some (Jsonl.String s) -> Schedule.policy_of_string s
                   | _ -> None
                 in
-                let journal_lanes =
-                  match Jsonl.member "lanes" j with
-                  | Some (Jsonl.Bool b) -> b
-                  | _ -> false
-                in
                 {
                   config with
                   warmstart = journal_warm;
                   schedule = journal_sched;
-                  lanes = journal_lanes;
                 })
         | [] -> config)
     | _ -> config
@@ -753,7 +719,6 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
                 Engine.Concurrent.default_config with
                 mode = Campaign.concurrent_mode e;
                 corrupt_verdict;
-                lanes = config.lanes;
               },
             Some (instance_for worker) )
     in

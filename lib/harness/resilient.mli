@@ -146,17 +146,6 @@ type config = {
           running cold for a cold one) regardless of this field's value,
           so a campaign always resumes in the regime it was started
           under. Off by default. *)
-  lanes : bool;
-      (** lane-packed execution mode for the concurrent engine (see
-          {!Engine.Concurrent.config}): verdicts, detection cycles and the
-          verdicts report are byte-identical to scalar mode; execution
-          counters differ (lane-mode batches also journal the
-          [lane_groups] / [scalar_fallbacks] / occupancy stats fields). A
-          lane-mode journal records a ["lanes"] header field; on [resume]
-          the runner adopts the journal's flag like [warmstart], so a
-          campaign always resumes in the mode it was started under.
-          Concurrent engines only — [Ifsim]/[Vfsim] ignore the flag. Off
-          by default. *)
   snapshot_every : int option;
       (** snapshot interval for the warm-start capture, in cycles
           ([None]: [max 8 (cycles / 16)]). Smaller intervals skip dead

@@ -11,7 +11,7 @@ let policy_of_string = function
   | "adaptive" -> Some Adaptive
   | _ -> None
 
-type granularity = Size of int | Chunks of int | Lanes of int
+type granularity = Size of int | Chunks of int
 
 type batch = {
   sb_index : int;
@@ -51,22 +51,6 @@ let slice ~granularity order =
         Array.init k (fun i ->
             let lo = i * nlive / k and hi = (i + 1) * nlive / k in
             Array.sub order lo (hi - lo))
-    | Lanes k ->
-        (* [Chunks k] with every interior cut snapped down to a lane-group
-           boundary (64), so each batch but the last covers whole lane
-           groups and the engine's lane masks stay fully occupied. Snapping
-           can collapse a chunk to nothing; empty batches are dropped. *)
-        let k = max 1 (min k nlive) in
-        let cuts = Array.init (k + 1) (fun i -> i * nlive / k) in
-        for i = 1 to k - 1 do
-          cuts.(i) <- cuts.(i) / 64 * 64
-        done;
-        let bs = ref [] in
-        for i = k - 1 downto 0 do
-          let lo = cuts.(i) and hi = cuts.(i + 1) in
-          if hi > lo then bs := Array.sub order lo (hi - lo) :: !bs
-        done;
-        Array.of_list !bs
 
 let min_act acts ids =
   Array.fold_left (fun m id -> min m acts.(id)) max_int ids

@@ -43,11 +43,8 @@ val policy_of_string : string -> policy option
 (** Batch decomposition grain: [Size s] cuts batches of at most [s] faults
     ({!Resilient}'s [batch_size] — independent of worker count, so plans
     resume across [--jobs]); [Chunks k] cuts at most [k] near-equal chunks
-    ({!Campaign}'s one-chunk-per-job split); [Lanes k] is [Chunks k] with
-    every interior cut snapped down to a 64-fault lane-group boundary, so a
-    lane-mode engine sees fully occupied lane groups in every batch but the
-    last (empty chunks produced by snapping are dropped). *)
-type granularity = Size of int | Chunks of int | Lanes of int
+    ({!Campaign}'s one-chunk-per-job split). *)
+type granularity = Size of int | Chunks of int
 
 type batch = {
   sb_index : int;  (** position in the plan; reports merge in this order *)

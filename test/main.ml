@@ -25,5 +25,4 @@ let () =
       ("warmstart", Test_warmstart.suite);
       ("activation", Test_activation.suite);
       ("schedule", Test_schedule.suite);
-      ("lanes", Test_lanes.suite);
     ]

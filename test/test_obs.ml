@@ -199,6 +199,46 @@ let test_heartbeat () =
   check bool_t "quiet again after a tick" true
     (Obs.Heartbeat.update hb ~done_:300 ~detected:90 = None)
 
+(* The journal heartbeat record shape is a stability contract: resume
+   replay skips these records by field lookup, and the progress line is
+   denominated in faults/s in both modes. *)
+let test_heartbeat_shape_unchanged () =
+  let t = ref 0.0 in
+  let hb =
+    Obs.Heartbeat.create ~now:(fun () -> !t) ~interval:1.0 ~total:128 ()
+  in
+  t := 2.0;
+  match Obs.Heartbeat.update hb ~done_:64 ~detected:16 with
+  | None -> Alcotest.fail "tick expected"
+  | Some tick ->
+      let j = J.parse (Obs.Heartbeat.to_json hb tick) in
+      (match j with
+      | J.Obj kvs ->
+          Alcotest.(check (list string))
+            "heartbeat field set and order"
+            [
+              "type"; "done"; "total"; "detected"; "elapsed_s";
+              "faults_per_sec"; "eta_s";
+            ]
+            (List.map fst kvs)
+      | _ -> Alcotest.fail "heartbeat record is not an object");
+      Alcotest.(check string)
+        "record type" "heartbeat" (J.get_string "type" j);
+      Alcotest.(check int) "done" 64 (J.get_int "done" j);
+      (* rate is faults per second: 64 faults over 2 s *)
+      Alcotest.(check (float 1e-9))
+        "faults/s" 32.0
+        (J.get_float "faults_per_sec" j);
+      let line = Obs.Heartbeat.to_line hb tick in
+      let has_substr s sub =
+        let n = String.length s and m = String.length sub in
+        let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool)
+        "progress line is denominated in faults/s" true
+        (has_substr line "faults/s")
+
 let suite =
   [
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
@@ -212,4 +252,6 @@ let suite =
     Alcotest.test_case "metrics histogram" `Quick test_metrics_histogram;
     Alcotest.test_case "metrics JSON export" `Quick test_metrics_json;
     Alcotest.test_case "heartbeat pacing" `Quick test_heartbeat;
+    Alcotest.test_case "journal heartbeat record shape unchanged" `Quick
+      test_heartbeat_shape_unchanged;
   ]

@@ -174,6 +174,38 @@ let test_parameter_mismatch () =
         g w faults);
   Sys.remove journal
 
+(* A journal from a build that still had lane-packed execution carries a
+   ["lanes"] header field this runner never writes. It must not resume in
+   a different mode: header equality rejects it as Journal_corrupt (CLI
+   exit 5), with no compatibility branch in the runner. *)
+let test_lanes_header_rejected () =
+  let _, g, w, faults = campaign "alu" in
+  let journal = temp_journal () in
+  let cfg =
+    { R.default_config with R.batch_size = 7; journal = Some journal }
+  in
+  ignore (R.run ~config:cfg g w faults);
+  (match journal_lines journal with
+  | header :: rest -> (
+      match H.Jsonl.parse header with
+      | H.Jsonl.Obj kvs ->
+          let lanes_header =
+            H.Jsonl.to_string
+              (H.Jsonl.Obj (kvs @ [ ("lanes", H.Jsonl.Bool true) ]))
+          in
+          write_file journal
+            (String.concat "\n" (lanes_header :: rest) ^ "\n")
+      | _ -> Alcotest.fail "journal header is not an object")
+  | [] -> Alcotest.fail "empty journal");
+  expect_error "lanes header"
+    (function
+      | R.Journal_corrupt _ as e ->
+          check int_t "corrupt-journal exit code" 5 (R.exit_code e);
+          true
+      | _ -> false)
+    (fun () -> R.run ~config:{ cfg with R.resume = true } g w faults);
+  Sys.remove journal
+
 let test_journal_overwritten_without_resume () =
   let _, g, w, faults = campaign "apb" in
   let journal = temp_journal () in
@@ -635,6 +667,8 @@ let suite =
       test_corrupt_middle_record;
     Alcotest.test_case "journal parameter mismatch rejected" `Quick
       test_parameter_mismatch;
+    Alcotest.test_case "journal with a lanes header rejected" `Quick
+      test_lanes_header_rejected;
     Alcotest.test_case "stale journal overwritten without resume" `Quick
       test_journal_overwritten_without_resume;
     Alcotest.test_case "torn tail survives double resume" `Quick
