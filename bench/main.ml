@@ -81,32 +81,6 @@ let warmstart ~scale ~jobs ~out =
       output_char oc '\n');
   Format.fprintf ppf "  json       %s@." out
 
-let activation ~scale ~jobs ~out =
-  Format.fprintf ppf "@.";
-  let jobs = match jobs with j :: _ -> j | [] -> 4 in
-  let rows = H.Experiments.activation ~jobs ~scale () in
-  H.Report.activation ppf rows;
-  let json = H.Experiments.activation_json ~scale rows in
-  let text = H.Jsonl.to_string json in
-  ignore (H.Jsonl.parse text);
-  H.Resilient.write_atomic out (fun oc ->
-      output_string oc text;
-      output_char oc '\n');
-  Format.fprintf ppf "  json       %s@." out
-
-let schedule ~scale ~jobs ~out =
-  Format.fprintf ppf "@.";
-  let jobs = match jobs with j :: _ -> j | [] -> 4 in
-  let rows = H.Experiments.schedule ~jobs ~scale () in
-  H.Report.schedule ppf rows;
-  let json = H.Experiments.schedule_json ~scale rows in
-  let text = H.Jsonl.to_string json in
-  ignore (H.Jsonl.parse text);
-  H.Resilient.write_atomic out (fun oc ->
-      output_string oc text;
-      output_char oc '\n');
-  Format.fprintf ppf "  json       %s@." out
-
 (* --- representation experiment: boxed vs flat value representation --- *)
 
 (* End-to-end serial fault-simulation throughput (compile + golden trace +
@@ -328,8 +302,6 @@ let () =
   let scaling_out = ref "BENCH_scaling.json" in
   let repr_out = ref "BENCH_repr.json" in
   let warmstart_out = ref "BENCH_warmstart.json" in
-  let activation_out = ref "BENCH_activation.json" in
-  let schedule_out = ref "BENCH_schedule.json" in
   let cmds = ref [] in
   let rec parse i =
     if i < Array.length Sys.argv then
@@ -355,12 +327,6 @@ let () =
       | "--warmstart-out" ->
           warmstart_out := Sys.argv.(i + 1);
           parse (i + 2)
-      | "--activation-out" ->
-          activation_out := Sys.argv.(i + 1);
-          parse (i + 2)
-      | "--schedule-out" ->
-          schedule_out := Sys.argv.(i + 1);
-          parse (i + 2)
       | cmd ->
           cmds := cmd :: !cmds;
           parse (i + 1)
@@ -368,11 +334,9 @@ let () =
   (try parse 1
    with _ ->
      prerr_endline
-       "usage: main \
-        [tableN|figN|scaling|repr|warmstart|activation|schedule|micro] \
-        [--scale S] [--jobs 1,2,4] [--scaling-out FILE] [--repr-out FILE] \
-        [--warmstart-out FILE] [--activation-out FILE] [--schedule-out \
-        FILE]");
+       "usage: main [tableN|figN|scaling|repr|warmstart|micro] [--scale S] \
+        [--jobs 1,2,4] [--scaling-out FILE] [--repr-out FILE] \
+        [--warmstart-out FILE]");
   let cmds = if !cmds = [] then [ "all" ] else List.rev !cmds in
   let scale = !scale in
   Format.fprintf ppf "ERASER reproduction harness (scale %.2f)@.@." scale;
@@ -390,8 +354,6 @@ let () =
       | "scaling" -> scaling ~scale ~jobs:!jobs ~out:!scaling_out
       | "repr" -> repr_bench ~scale ~out:!repr_out
       | "warmstart" -> warmstart ~scale ~jobs:!jobs ~out:!warmstart_out
-      | "activation" -> activation ~scale ~jobs:!jobs ~out:!activation_out
-      | "schedule" -> schedule ~scale ~jobs:!jobs ~out:!schedule_out
       | "micro" -> micro ()
       | "all" ->
           table1 ();
@@ -405,8 +367,6 @@ let () =
           scaling ~scale ~jobs:!jobs ~out:!scaling_out;
           repr_bench ~scale ~out:!repr_out;
           warmstart ~scale ~jobs:!jobs ~out:!warmstart_out;
-          activation ~scale ~jobs:!jobs ~out:!activation_out;
-          schedule ~scale ~jobs:!jobs ~out:!schedule_out;
           micro ()
       | other -> Format.fprintf ppf "unknown experiment %S@." other)
     cmds

@@ -67,9 +67,24 @@ let guard f =
       Format.eprintf "eraser: bad workload: %s@." msg;
       H.Resilient.exit_code (H.Resilient.Bad_workload msg)
 
+(* NaN, infinities and non-positive scales would silently run the
+   minimum-size workload (or overflow the scaled counts), so they are
+   usage errors like any other malformed argument. *)
+let scale_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid scale %S: expected a finite number > 0"
+                s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let scale_arg =
   Arg.(
-    value & opt float 0.25
+    value & opt scale_conv 0.25
     & info [ "scale" ] ~docv:"S"
         ~doc:
           "Scale stimulus length and fault count relative to the paper's \
@@ -182,35 +197,6 @@ let jobs_arg =
            engine instances; verdicts and reports are identical for any \
            $(docv).")
 
-let schedule_conv =
-  let parse s =
-    match H.Schedule.policy_of_string (String.lowercase_ascii s) with
-    | Some p -> Ok p
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown schedule policy %S (try: fixed, activation, adaptive)"
-                s))
-  in
-  Arg.conv (parse, fun ppf p ->
-      Format.pp_print_string ppf (H.Schedule.policy_name p))
-
-let schedule_arg =
-  Arg.(
-    value
-    & opt (some schedule_conv) None
-    & info [ "schedule" ] ~docv:"POLICY"
-        ~doc:
-          "Fault-schedule planner policy: $(b,fixed) (ascending fault ids, \
-           capture-grid snapshots — reproduces the historical batching \
-           byte-for-byte), $(b,activation) (batches grouped by activation \
-           window, capture-grid snapshots), or $(b,adaptive) (activation \
-           batches plus replanned snapshot placement at each batch's exact \
-           activation boundary, within the capture's snapshot budget). \
-           Default: adaptive for $(b,--warmstart) runs, fixed cold. \
-           Verdicts are byte-identical across policies.")
-
 let capture_mem_limit_arg =
   Arg.(
     value
@@ -264,18 +250,8 @@ let run_cmd =
              being simulated. Verdicts are identical to the cold path. \
              Concurrent engines only; ignored for ifsim and vfsim.")
   in
-  let snapshot_every_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:
-            "Snapshot interval (cycles) for the $(b,--warmstart) capture; \
-             smaller intervals skip dead prefixes more precisely at a \
-             linear memory cost. Default: max(8, cycles/16).")
-  in
   let run (c : Circuits.Bench_circuit.t) engine scale instrument verify json
-      jobs warmstart snapshot_every schedule capture_mem_limit trace metrics =
+      jobs warmstart capture_mem_limit trace metrics =
    guard @@ fun () ->
    with_obs ~trace ~metrics @@ fun () ->
     if jobs < 1 then
@@ -283,13 +259,21 @@ let run_cmd =
         (H.Resilient.Campaign_error
            (H.Resilient.Bad_workload
               (Printf.sprintf "jobs must be positive, got %d" jobs)));
+    (match capture_mem_limit with
+    | Some l when l < 0 ->
+        raise
+          (H.Resilient.Campaign_error
+             (H.Resilient.Bad_workload
+                (Printf.sprintf "capture memory limit must be non-negative, \
+                                 got %d" l)))
+    | _ -> ());
     let design, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
     Format.printf "%s on %s: %d cycles, %d faults@."
       (H.Campaign.engine_name engine) c.name w.Workload.cycles
       (Array.length faults);
     let r =
-      H.Campaign.run ~instrument ~jobs ~warmstart ?snapshot_every
-        ?schedule ?capture_mem_limit engine g w faults
+      H.Campaign.run ~instrument ~jobs ~warmstart ?capture_mem_limit engine g
+        w faults
     in
     Format.printf "  coverage   %.2f%% (%d/%d)@." r.Fault.coverage_pct
       (Fault.count_detected r) (Array.length faults);
@@ -357,8 +341,8 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a fault-simulation campaign on one circuit.")
     Term.(
       const run $ circuit_arg $ engine_arg $ scale_arg $ instrument_arg
-      $ verify_arg $ json_arg $ jobs_arg $ warmstart_arg $ snapshot_every_arg
-      $ schedule_arg $ capture_mem_limit_arg $ trace_arg $ metrics_arg)
+      $ verify_arg $ json_arg $ jobs_arg $ warmstart_arg
+      $ capture_mem_limit_arg $ trace_arg $ metrics_arg)
 
 (* --- campaign (resilient runner) --- *)
 
@@ -482,21 +466,10 @@ let campaign_cmd =
              and write it as $(i,repro-<fault>.json) into $(docv) (replay \
              with $(b,eraser repro)).")
   in
-  let snapshot_every_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:
-            "Snapshot interval (cycles) for the $(b,--warmstart) capture; \
-             smaller intervals skip dead prefixes more precisely at a \
-             linear memory cost. Default: max(8, cycles/16).")
-  in
   let run (c : Circuits.Bench_circuit.t) engine scale batch journal resume
       oracle_sample batch_timeout cycle_budget max_retries no_quarantine
-      inject json jobs warmstart snapshot_every schedule
-      capture_mem_limit verdicts_out trace metrics progress supervise
-      repro_dir =
+      inject json jobs warmstart capture_mem_limit verdicts_out trace metrics
+      progress supervise repro_dir =
    guard @@ fun () ->
    with_obs ~trace ~metrics @@ fun () ->
     let design, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
@@ -519,8 +492,6 @@ let campaign_cmd =
         repro_dir;
         repro_meta = Some (c.name, scale);
         warmstart;
-        snapshot_every;
-        schedule;
         capture_mem_limit;
       }
     in
@@ -637,9 +608,9 @@ let campaign_cmd =
       const run $ circuit_arg $ engine_arg $ scale_arg $ batch_arg
       $ journal_arg $ resume_arg $ oracle_sample_arg $ batch_timeout_arg
       $ cycle_budget_arg $ max_retries_arg $ no_quarantine_arg $ inject_arg
-      $ json_arg $ jobs_arg $ warmstart_arg $ snapshot_every_arg $ schedule_arg
-      $ capture_mem_limit_arg $ verdicts_arg $ trace_arg $ metrics_arg
-      $ progress_arg $ supervise_arg $ repro_dir_arg)
+      $ json_arg $ jobs_arg $ warmstart_arg $ capture_mem_limit_arg
+      $ verdicts_arg $ trace_arg $ metrics_arg $ progress_arg $ supervise_arg
+      $ repro_dir_arg)
 
 (* --- chaos --- *)
 
@@ -961,6 +932,7 @@ let faults_cmd =
       & info [ "n" ] ~docv:"N" ~doc:"Show at most N faults.")
   in
   let run (c : Circuits.Bench_circuit.t) scale n =
+   guard @@ fun () ->
     let d, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
     let verdicts = Classify.classify g faults in
     let r = H.Campaign.run H.Campaign.Eraser g w faults in

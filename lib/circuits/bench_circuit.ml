@@ -10,11 +10,19 @@ type t = {
   workload : Design.t -> cycles:int -> Workload.t;
 }
 
-let cycles_of c ~scale =
-  max 50 (int_of_float (float_of_int c.paper_cycles *. scale))
+(* [int_of_float] is unspecified outside the int range (and on NaN), so a
+   scaled count that does not fit is rejected rather than wrapped. *)
+let scaled what base ~scale =
+  let x = float_of_int base *. scale in
+  if x >= float_of_int min_int && x < float_of_int max_int then int_of_float x
+  else
+    raise
+      (Workload.Invalid_workload
+         (Printf.sprintf "scale %g gives a %s count that does not fit in an int"
+            scale what))
 
-let faults_of c ~scale =
-  max 20 (int_of_float (float_of_int c.paper_faults *. scale))
+let cycles_of c ~scale = max 50 (scaled "cycle" c.paper_cycles ~scale)
+let faults_of c ~scale = max 20 (scaled "fault" c.paper_faults ~scale)
 
 let random_workload ?(directed = [||]) ~seed design ~cycles =
   let clock = Design.find_signal design "clk" in

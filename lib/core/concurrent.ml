@@ -1249,17 +1249,6 @@ let capture ?config ?snapshot_every ?instance:existing (g : Elaborate.t)
   Obs.Metrics.add "goodtrace.capture_bytes" t.Goodtrace.capture_bytes;
   t
 
-(* Signals driven by the comb network (continuous assigns and comb-process
-   blocking writes): their pristine zero values are swept during the init
-   settle before any topo-later reader can observe them, which is what
-   makes the conservative rule in {!Goodtrace.first_divergence} sound. *)
-let comb_driven (g : Elaborate.t) =
-  let driven = Array.make (Design.num_signals g.Elaborate.design) false in
-  Array.iter
-    (fun ws -> Array.iter (fun id -> driven.(id) <- true) ws)
-    g.Elaborate.comb_writes;
-  driven
-
 let sites_of faults =
   Array.map
     (fun (f : Fault.t) ->
@@ -1273,10 +1262,6 @@ let sites_of faults =
           | Fault.Flip_at c -> Goodtrace.Transient c);
       })
     faults
-
-let legacy_activations trace (g : Elaborate.t) faults =
-  Goodtrace.first_divergence trace ~comb_driven:(comb_driven g)
-    (sites_of faults)
 
 let activations ?cone trace (g : Elaborate.t) faults =
   let cone = match cone with Some c -> c | None -> Cone.build g in

@@ -128,19 +128,19 @@ val run_batch :
   ids:int array ->
   Fault.result
 
-(** The fixed snapshot-interval heuristic, [max 8 (cycles / 16)] — the
-    default when [capture] is given no [?snapshot_every]. Exposed as the
-    single source of truth so the schedule planner can size its adaptive
-    snapshot budget from the same rule. *)
+(** The snapshot interval every campaign capture uses,
+    [max 8 (cycles / 16)]. *)
 val default_snapshot_every : cycles:int -> int
 
 (** [capture g w] runs the good network once — no faults — and records
     every good event (inputs, assign results, behavioral writes and branch
     choices), the per-cycle output vectors, and full {!Sim.State} snapshots
-    every [?snapshot_every] cycles (default [max 8 (cycles / 16)]) plus one
-    at the end of the workload. The returned trace is immutable and safe to
-    share read-only across worker domains; one capture serves every
-    subsequent warm-started batch of the same (design, workload). *)
+    every {!default_snapshot_every} cycles plus one at the end of the
+    workload. [?snapshot_every] overrides the interval; it is a test hook
+    only (campaigns always use the default). The returned trace is
+    immutable and safe to share read-only across worker domains; one
+    capture serves every subsequent warm-started batch of the same
+    (design, workload). *)
 val capture :
   ?config:config ->
   ?snapshot_every:int ->
@@ -160,12 +160,6 @@ val capture :
 val activations :
   ?cone:Flow.Cone.t -> Sim.Goodtrace.t -> Elaborate.t -> Fault.t array ->
   int array
-
-(** The pre-cone conservative rule ({!Sim.Goodtrace.first_divergence}):
-    first cycle the forced bit differs from a recorded good value at all.
-    Kept as the baseline the activation bench compares against. *)
-val legacy_activations :
-  Sim.Goodtrace.t -> Elaborate.t -> Fault.t array -> int array
 
 (** [statically_undetectable g faults] flags faults whose site signal has
     no structural path to any design output ({!Flow.Cone.observable} is

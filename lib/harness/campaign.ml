@@ -67,8 +67,7 @@ let merge_batches ~t0 ~n batch_ids results =
   Fault.make_result ~detected ~detection_cycle ~stats:!stats ~wall_time:wall ()
 
 let run ?(instrument = false) ?(jobs = 1) ?(warmstart = false)
-    ?snapshot_every ?schedule ?capture_mem_limit engine
-    (g : Rtlir.Elaborate.t) w faults =
+    ?capture_mem_limit engine (g : Rtlir.Elaborate.t) w faults =
   if jobs < 1 then invalid_arg "Campaign.run: jobs must be >= 1";
   let open Faultsim in
   let n = Array.length faults in
@@ -80,7 +79,7 @@ let run ?(instrument = false) ?(jobs = 1) ?(warmstart = false)
       | Z01x_proxy | Eraser_mm | Eraser_m | Eraser when warmstart ->
           let config = config_of ~instrument engine in
           let cone = Flow.Cone.build g in
-          let trace = Engine.Concurrent.capture ~config ?snapshot_every g w in
+          let trace = Engine.Concurrent.capture ~config g w in
           let acts = Engine.Concurrent.activations ~cone trace g faults in
           let pruned =
             Engine.Concurrent.statically_undetectable ~cone g faults
@@ -88,16 +87,11 @@ let run ?(instrument = false) ?(jobs = 1) ?(warmstart = false)
           Some { Schedule.wi_trace = trace; wi_acts = acts; wi_pruned = pruned }
       | _ -> None
     in
-    let policy =
-      match (schedule, warm) with
-      | Some p, _ -> p
-      | None, Some _ -> Schedule.Adaptive
-      | None, None -> Schedule.Fixed
-    in
+    (* a cold plan (no warm input) degrades to Fixed *)
     let plan =
-      Schedule.plan ~policy ~granularity:(Schedule.Chunks jobs)
-        ?capture_mem_limit ?warm ~design:g ~n
-        ()
+      Schedule.plan ~policy:Schedule.Adaptive
+        ~granularity:(Schedule.Chunks jobs) ?capture_mem_limit ?warm
+        ~design:g ~n ()
     in
     let npruned = Array.length plan.Schedule.sp_pruned in
     if npruned > 0 then Obs.Metrics.add "cone.pruned" npruned;
@@ -155,8 +149,7 @@ let run ?(instrument = false) ?(jobs = 1) ?(warmstart = false)
     r
   end
 
-let run_circuit ?instrument ?jobs ?warmstart ?snapshot_every ?schedule
-    ?capture_mem_limit engine (c : Circuits.Bench_circuit.t) ~scale =
+let run_circuit ?instrument ?jobs ?warmstart ?capture_mem_limit engine
+    (c : Circuits.Bench_circuit.t) ~scale =
   let _, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
-  run ?instrument ?jobs ?warmstart ?snapshot_every ?schedule
-    ?capture_mem_limit engine g w faults
+  run ?instrument ?jobs ?warmstart ?capture_mem_limit engine g w faults

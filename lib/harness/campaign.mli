@@ -65,24 +65,18 @@ val dispatch :
     Verdicts and detection cycles are identical to the cold run for any
     [jobs]; [bn_good] and [rtl_good_eval] drop to zero for every batch
     (the one capture run is counted in [stats.goodtrace_captures]).
-    [?snapshot_every] overrides the capture's snapshot interval (see
-    {!Engine.Concurrent.capture}); it only affects warm-started runs.
 
     Whatever the options, execution is "plan, then execute plan": the
     fault set is decomposed by {!Schedule.plan} (granularity
     [Chunks jobs]), every batch is dispatched through {!dispatch} with the
-    plan's warm start, and results merge in plan order. [?schedule] picks
-    the planner policy (default [Adaptive] for warm runs; cold runs always
-    degrade to [Fixed], which reproduces the historical contiguous-chunk
-    partition). [?capture_mem_limit] spills the planned trace to a
-    disk-backed mmap when [capture_bytes] exceeds it. Verdicts are
-    byte-identical across policies — batches never interact. *)
+    plan's warm start, and results merge in plan order. Warm runs plan
+    [Adaptive]; cold runs plan [Fixed], which reproduces the historical
+    contiguous-chunk partition. [?capture_mem_limit] spills the planned
+    trace to a disk-backed mmap when [capture_bytes] exceeds it. *)
 val run :
   ?instrument:bool ->
   ?jobs:int ->
   ?warmstart:bool ->
-  ?snapshot_every:int ->
-  ?schedule:Schedule.policy ->
   ?capture_mem_limit:int ->
   engine ->
   Rtlir.Elaborate.t ->
@@ -95,8 +89,6 @@ val run_circuit :
   ?instrument:bool ->
   ?jobs:int ->
   ?warmstart:bool ->
-  ?snapshot_every:int ->
-  ?schedule:Schedule.policy ->
   ?capture_mem_limit:int ->
   engine ->
   Circuits.Bench_circuit.t ->

@@ -318,10 +318,8 @@ let warmstart_names = [ "alu"; "sha256_hv" ]
 
 (* Good-network checkpointing benchmark: the same resilient campaign cold
    (every batch re-simulates the good network) and warm (one capture,
-   every batch replays it from its activation-window snapshot). The
-   capture runs once out here and is handed to the campaign through
-   [config.capture] — the same sharing seam the bench sweeps use — and its
-   wall time is added back to the warm number, so the speedup stays
+   every batch replays it from its activation-window snapshot). The warm
+   run's wall clock starts before its capture, so the speedup stays
    end-to-end; the verdict check is the experiment's correctness gate. *)
 let warmstart ?(jobs = 4) ~scale () =
   List.map
@@ -337,18 +335,13 @@ let warmstart ?(jobs = 4) ~scale () =
         }
       in
       let cold = Resilient.run ~config:base g w faults in
-      let t0 = Stats.now () in
-      let cap = Engine.Concurrent.capture g w in
-      let capture_wall = Stats.now () -. t0 in
       let warm =
         Resilient.run
-          ~config:
-            { base with Resilient.warmstart = true; capture = Some cap }
+          ~config:{ base with Resilient.warmstart = true }
           g w faults
       in
       let cr = cold.Resilient.result and wr = warm.Resilient.result in
-      let cw = cr.Fault.wall_time
-      and ww = capture_wall +. wr.Fault.wall_time in
+      let cw = cr.Fault.wall_time and ww = wr.Fault.wall_time in
       {
         ws_name = c.paper_name;
         ws_faults = n;
@@ -390,247 +383,6 @@ let warmstart_json ~scale rows =
   Jsonl.Obj
     [
       ("experiment", Jsonl.String "warmstart");
-      ("scale", Jsonl.Float scale);
-      ("circuits", Jsonl.List (List.map row_json rows));
-    ]
-
-type activation_row = {
-  act_name : string;
-  act_faults : int;
-  act_cycles : int;
-  act_batches : int;
-  act_pruned : int;
-  act_legacy_window_sum : int;
-  act_cone_window_sum : int;
-  act_legacy_skipped : int;
-  act_cone_skipped : int;
-  act_cold_wall : float;
-  act_cone_wall : float;
-  act_verdicts_equal : bool;
-}
-
-(* Comb-heavy circuits: the ones where the legacy first-divergence rule
-   pinned every comb-driven site to activation 0 and the cone-refined rule
-   has room to move windows later. *)
-let activation_names = [ "alu"; "fpu" ]
-
-(* Cone-refined activation benchmark (DESIGN.md §14): the same resilient
-   campaign cold and warm, plus an offline replay of the pre-cone (legacy
-   first-divergence) activation rule over the identical trace and batching
-   policy, so the JSON records exactly how many good-network prefix cycles
-   the cone analysis unlocked on top of what PR 6 could already skip. *)
-let activation ?(jobs = 4) ?(snapshot_every = 1) ~scale () =
-  List.map
-    (fun name ->
-      let c = Circuits.find name in
-      let _, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
-      let n = Array.length faults in
-      (* per-fault batches + a snapshot at every cycle: each fault then
-         skips exactly its own activation window, so the cone-vs-legacy
-         comparison is not flattened by batch minima or snapshot
-         alignment *)
-      let base =
-        {
-          Resilient.default_config with
-          Resilient.jobs;
-          batch_size = 1;
-          snapshot_every = Some snapshot_every;
-        }
-      in
-      let cold = Resilient.run ~config:base g w faults in
-      (* one capture serves both the warm campaign (through
-         [config.capture]) and the offline window analysis below — the
-         duplicate capture run this experiment historically paid is gone *)
-      let trace = Engine.Concurrent.capture ~snapshot_every g w in
-      let warm =
-        Resilient.run
-          ~config:
-            { base with Resilient.warmstart = true; capture = Some trace }
-          g w faults
-      in
-      (* offline replica of the runner's batching over a given activation
-         array: sort live ids by (window, id), cut into batch_size chunks,
-         and charge each chunk the snapshot-aligned prefix it replays past *)
-      let cone = Flow.Cone.build g in
-      let legacy = Engine.Concurrent.legacy_activations trace g faults in
-      let refined = Engine.Concurrent.activations ~cone trace g faults in
-      let skipped_under acts ids =
-        let order = Array.of_list ids in
-        Array.sort
-          (fun a b ->
-            match compare acts.(a) acts.(b) with 0 -> compare a b | d -> d)
-          order;
-        let nk = Array.length order in
-        let total = ref 0 in
-        let lo = ref 0 in
-        while !lo < nk do
-          let hi = min nk (!lo + base.Resilient.batch_size) in
-          let m = ref max_int in
-          for j = !lo to hi - 1 do
-            m := min !m acts.(order.(j))
-          done;
-          total := !total + Sim.Goodtrace.start_for trace ~activation:!m;
-          lo := hi
-        done;
-        !total
-      in
-      let all_ids = List.init n Fun.id in
-      let sum acts ids = List.fold_left (fun s i -> s + acts.(i)) 0 ids in
-      let cr = cold.Resilient.result and wr = warm.Resilient.result in
-      {
-        act_name = c.paper_name;
-        act_faults = n;
-        act_cycles = w.Workload.cycles;
-        act_batches = warm.Resilient.batches_total;
-        act_pruned = List.length warm.Resilient.pruned_faults;
-        act_legacy_window_sum = sum legacy all_ids;
-        act_cone_window_sum = sum refined all_ids;
-        act_legacy_skipped = skipped_under legacy all_ids;
-        act_cone_skipped = wr.Fault.stats.Stats.good_cycles_skipped;
-        act_cold_wall = cr.Fault.wall_time;
-        act_cone_wall = wr.Fault.wall_time;
-        act_verdicts_equal =
-          cr.Fault.detected = wr.Fault.detected
-          && cr.Fault.detection_cycle = wr.Fault.detection_cycle;
-      })
-    activation_names
-
-let activation_json ~scale rows =
-  let row_json r =
-    Jsonl.Obj
-      [
-        ("name", Jsonl.String r.act_name);
-        ("faults", Jsonl.Int r.act_faults);
-        ("cycles", Jsonl.Int r.act_cycles);
-        ("batches", Jsonl.Int r.act_batches);
-        ("statically_pruned", Jsonl.Int r.act_pruned);
-        ("legacy_window_sum", Jsonl.Int r.act_legacy_window_sum);
-        ("cone_window_sum", Jsonl.Int r.act_cone_window_sum);
-        ("legacy_cycles_skipped", Jsonl.Int r.act_legacy_skipped);
-        ("good_cycles_skipped", Jsonl.Int r.act_cone_skipped);
-        ("cold_wall_s", Jsonl.Float r.act_cold_wall);
-        ("cone_wall_s", Jsonl.Float r.act_cone_wall);
-        ("verdicts_equal", Jsonl.Bool r.act_verdicts_equal);
-      ]
-  in
-  Jsonl.Obj
-    [
-      ("experiment", Jsonl.String "activation");
-      ("scale", Jsonl.Float scale);
-      ("circuits", Jsonl.List (List.map row_json rows));
-    ]
-
-type schedule_point = {
-  sch_policy : string;
-  sch_skipped : int;
-  sch_wall : float;
-  sch_batches : int;
-  sch_snapshots : int;
-  sch_verdicts_equal : bool;
-}
-
-type schedule_row = {
-  sch_name : string;
-  sch_faults : int;
-  sch_cycles : int;
-  sch_cold_wall : float;
-  sch_capture_wall : float;
-  sch_points : schedule_point list;
-}
-
-let schedule_names = [ "alu"; "sha256_hv" ]
-
-(* Schedule-policy benchmark: one cold baseline, one good-trace capture,
-   then the same warm resilient campaign under each planner policy — the
-   capture is shared across all three runs through [config.capture], so
-   the sweep isolates what the policy alone buys. [Fixed] keeps ascending
-   fault ids (batch minima pin most warm starts to cycle 0), [Activation]
-   groups by window on the capture grid, [Adaptive] additionally replans
-   the snapshot set at each batch's exact activation boundary. Verdicts
-   must match the cold baseline under every policy — that equality is the
-   planner's soundness gate. *)
-let schedule ?(jobs = 4) ~scale () =
-  List.map
-    (fun name ->
-      let c = Circuits.find name in
-      let _, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
-      let n = Array.length faults in
-      let base =
-        {
-          Resilient.default_config with
-          Resilient.jobs;
-          batch_size = max 1 (n / 8);
-        }
-      in
-      let cold = Resilient.run ~config:base g w faults in
-      let cr = cold.Resilient.result in
-      let t0 = Stats.now () in
-      let cap = Engine.Concurrent.capture g w in
-      let capture_wall = Stats.now () -. t0 in
-      let points =
-        List.map
-          (fun policy ->
-            let warm =
-              Resilient.run
-                ~config:
-                  {
-                    base with
-                    Resilient.warmstart = true;
-                    capture = Some cap;
-                    schedule = Some policy;
-                  }
-                g w faults
-            in
-            let wr = warm.Resilient.result in
-            let s = wr.Fault.stats in
-            {
-              sch_policy = Schedule.policy_name policy;
-              sch_skipped = s.Stats.good_cycles_skipped;
-              sch_wall = wr.Fault.wall_time;
-              sch_batches = s.Stats.plan_batches;
-              sch_snapshots = s.Stats.plan_snapshots;
-              sch_verdicts_equal =
-                cr.Fault.detected = wr.Fault.detected
-                && cr.Fault.detection_cycle = wr.Fault.detection_cycle;
-            })
-          [ Schedule.Fixed; Schedule.Activation; Schedule.Adaptive ]
-      in
-      {
-        sch_name = c.paper_name;
-        sch_faults = n;
-        sch_cycles = w.Workload.cycles;
-        sch_cold_wall = cr.Fault.wall_time;
-        sch_capture_wall = capture_wall;
-        sch_points = points;
-      })
-    schedule_names
-
-let schedule_json ~scale rows =
-  let point_json p =
-    Jsonl.Obj
-      [
-        ("policy", Jsonl.String p.sch_policy);
-        ("good_cycles_skipped", Jsonl.Int p.sch_skipped);
-        ("wall_s", Jsonl.Float p.sch_wall);
-        ("plan_batches", Jsonl.Int p.sch_batches);
-        ("plan_snapshots", Jsonl.Int p.sch_snapshots);
-        ("verdicts_equal", Jsonl.Bool p.sch_verdicts_equal);
-      ]
-  in
-  let row_json r =
-    Jsonl.Obj
-      [
-        ("name", Jsonl.String r.sch_name);
-        ("faults", Jsonl.Int r.sch_faults);
-        ("cycles", Jsonl.Int r.sch_cycles);
-        ("cold_wall_s", Jsonl.Float r.sch_cold_wall);
-        ("capture_wall_s", Jsonl.Float r.sch_capture_wall);
-        ("policies", Jsonl.List (List.map point_json r.sch_points));
-      ]
-  in
-  Jsonl.Obj
-    [
-      ("experiment", Jsonl.String "schedule");
       ("scale", Jsonl.Float scale);
       ("circuits", Jsonl.List (List.map row_json rows));
     ]

@@ -135,66 +135,3 @@ val warmstart : ?jobs:int -> scale:float -> unit -> warmstart_row list
     good_cycles_skipped, goodtrace_captures, capture_bytes,
     verdicts_equal}]}]. *)
 val warmstart_json : scale:float -> warmstart_row list -> Jsonl.t
-
-type activation_row = {
-  act_name : string;
-  act_faults : int;
-  act_cycles : int;
-  act_batches : int;
-  act_pruned : int;  (** faults the cone analysis excluded from simulation *)
-  act_legacy_window_sum : int;
-      (** sum of per-fault activation windows under the pre-cone
-          first-divergence rule *)
-  act_cone_window_sum : int;  (** same, under the cone-refined rule *)
-  act_legacy_skipped : int;
-      (** prefix cycles the legacy windows would have skipped under the
-          identical trace / batching policy (offline replay) *)
-  act_cone_skipped : int;
-      (** [good_cycles_skipped] actually measured on the warm campaign *)
-  act_cold_wall : float;
-  act_cone_wall : float;
-  act_verdicts_equal : bool;
-}
-
-(** Cone-refined activation benchmark (DESIGN.md §14): cold vs cone-warm
-    resilient campaigns on the comb-heavy circuits, with an offline replay
-    of the legacy (pre-cone) activation rule over the same trace and
-    batching so the two skipped-prefix numbers are directly comparable. *)
-val activation :
-  ?jobs:int -> ?snapshot_every:int -> scale:float -> unit -> activation_row list
-
-(** One-line JSON document for [BENCH_activation.json]: [{experiment,
-    scale, circuits: [{name, faults, cycles, batches, statically_pruned,
-    legacy_window_sum, cone_window_sum, legacy_cycles_skipped,
-    good_cycles_skipped, cold_wall_s, cone_wall_s, verdicts_equal}]}]. *)
-val activation_json : scale:float -> activation_row list -> Jsonl.t
-
-type schedule_point = {
-  sch_policy : string;  (** {!Schedule.policy_name} *)
-  sch_skipped : int;  (** [good_cycles_skipped] under this policy *)
-  sch_wall : float;  (** warm campaign wall time (capture excluded) *)
-  sch_batches : int;  (** plan batches executed *)
-  sch_snapshots : int;  (** snapshots held by the planned trace *)
-  sch_verdicts_equal : bool;  (** verdicts match the cold baseline *)
-}
-
-type schedule_row = {
-  sch_name : string;
-  sch_faults : int;
-  sch_cycles : int;
-  sch_cold_wall : float;  (** cold resilient baseline *)
-  sch_capture_wall : float;  (** the one shared capture run *)
-  sch_points : schedule_point list;  (** fixed, activation, adaptive *)
-}
-
-(** Schedule-policy benchmark (DESIGN.md §15): the same warm resilient
-    campaign under each planner policy, sharing one good-trace capture
-    through [config.capture], against one cold baseline. Every policy must
-    reproduce the cold verdicts exactly. *)
-val schedule : ?jobs:int -> scale:float -> unit -> schedule_row list
-
-(** One-line JSON document for [BENCH_schedule.json]: [{experiment, scale,
-    circuits: [{name, faults, cycles, cold_wall_s, capture_wall_s,
-    policies: [{policy, good_cycles_skipped, wall_s, plan_batches,
-    plan_snapshots, verdicts_equal}]}]}]. *)
-val schedule_json : scale:float -> schedule_row list -> Jsonl.t

@@ -164,41 +164,6 @@ let warmstart ppf rows =
         (if r.ws_verdicts_equal then "equal" else "DIFFER"))
     rows
 
-let activation ppf rows =
-  Format.fprintf ppf
-    "Cone activation: legacy vs cone-refined windows and skipped prefixes@.";
-  Format.fprintf ppf "  %-12s %7s %7s %8s %7s %10s %10s %9s %9s %8s@."
-    "Benchmark" "#Faults" "#Cycles" "#Batches" "pruned" "win(leg)" "win(cone)"
-    "skip(leg)" "skip(cone)" "verdicts";
-  List.iter
-    (fun (r : Experiments.activation_row) ->
-      Format.fprintf ppf
-        "  %-12s %7d %7d %8d %7d %10d %10d %9d %9d %8s@." r.act_name
-        r.act_faults r.act_cycles r.act_batches r.act_pruned
-        r.act_legacy_window_sum r.act_cone_window_sum r.act_legacy_skipped
-        r.act_cone_skipped
-        (if r.act_verdicts_equal then "equal" else "DIFFER"))
-    rows
-
-let schedule ppf rows =
-  Format.fprintf ppf
-    "Schedule: planner policies over one shared good-trace capture@.";
-  Format.fprintf ppf "  %-12s %7s %7s %9s %10s | %s@." "Benchmark" "#Faults"
-    "#Cycles" "cold(s)" "capture(s)"
-    "per policy: skipped batches snapshots wall(s) verdicts";
-  List.iter
-    (fun (r : Experiments.schedule_row) ->
-      Format.fprintf ppf "  %-12s %7d %7d %9.3f %10.3f |" r.sch_name
-        r.sch_faults r.sch_cycles r.sch_cold_wall r.sch_capture_wall;
-      List.iter
-        (fun (p : Experiments.schedule_point) ->
-          Format.fprintf ppf "  %s: %d %d %d %.3f %s" p.sch_policy
-            p.sch_skipped p.sch_batches p.sch_snapshots p.sch_wall
-            (if p.sch_verdicts_equal then "equal" else "DIFFER"))
-        r.sch_points;
-      Format.fprintf ppf "@.")
-    rows
-
 let resilience ppf rows =
   Format.fprintf ppf
     "Resilient runner: batched / resumed coverage parity and divergence \

@@ -22,8 +22,3 @@ val scaling : Format.formatter -> Experiments.scaling_row list -> unit
 (** Text table for the good-trace warm-start benchmark. *)
 val warmstart : Format.formatter -> Experiments.warmstart_row list -> unit
 
-(** Text table for the cone-refined activation benchmark. *)
-val activation : Format.formatter -> Experiments.activation_row list -> unit
-
-(** Text table for the schedule-policy benchmark. *)
-val schedule : Format.formatter -> Experiments.schedule_row list -> unit

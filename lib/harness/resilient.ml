@@ -65,9 +65,6 @@ type config = {
   repro_dir : string option;
   repro_meta : (string * float) option;
   warmstart : bool;
-  snapshot_every : int option;
-  schedule : Schedule.policy option;
-  capture : Sim.Goodtrace.t option;
   capture_mem_limit : int option;
 }
 
@@ -90,9 +87,6 @@ let default_config =
     repro_dir = None;
     repro_meta = None;
     warmstart = false;
-    snapshot_every = None;
-    schedule = None;
-    capture = None;
     capture_mem_limit = None;
   }
 
@@ -147,10 +141,12 @@ let header_json ~design_name ?schedule cfg (w : Workload.t) nfaults =
     (* only present on warm campaigns: the batch decomposition is
        planner-ordered there, so a warm journal is incompatible with a
        cold campaign's decomposition (and vice versa). [run] reads the
-       flag and the schedule policy back from an existing journal on
-       resume and adopts both, so a resume continues in the journal's own
-       regime regardless of the resuming invocation's flags. Cold
-       journals keep their historical byte format. *)
+       flag back from an existing journal on resume and adopts it, so a
+       resume continues in the journal's own regime regardless of the
+       resuming invocation's flags. The ["schedule"] field names the
+       plan's policy, which follows from the regime; a journal naming
+       another policy fails header equality. Cold journals keep their
+       historical byte format. *)
     @ (if cfg.warmstart then
          ("warmstart", Jsonl.Bool true)
          ::
@@ -512,19 +508,37 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
       (Bad_workload
          (Printf.sprintf "oracle sampling rate must be within [0, 1], got %g"
             config.oracle_sample));
+  let nonneg_float what = function
+    | Some x when Float.is_nan x || x < 0.0 ->
+        err
+          (Bad_workload
+             (Printf.sprintf "%s must be non-negative, got %g" what x))
+    | _ -> ()
+  in
+  let nonneg_int what = function
+    | Some x when x < 0 ->
+        err
+          (Bad_workload
+             (Printf.sprintf "%s must be non-negative, got %d" what x))
+    | _ -> ()
+  in
+  nonneg_float "batch time budget" config.max_batch_seconds;
+  nonneg_int "batch cycle budget" config.max_batch_cycles;
+  nonneg_int "max retries" (Some config.max_retries);
+  nonneg_float "progress interval" config.progress;
+  nonneg_int "capture memory limit" config.capture_mem_limit;
   if w.Workload.cycles < 0 then
     err
       (Bad_workload
          (Printf.sprintf "negative cycle count %d" w.Workload.cycles));
   (* Resume adopts the journal's own regime: warm and cold campaigns use
      different batch decompositions (planner-ordered vs contiguous), so
-     the journal records ["warmstart"] and ["schedule"] header fields and
-     a resume must continue in the regime the journal was written under —
-     re-capturing the good trace and re-planning under the journal's
-     policy even when the resuming invocation's flags differ, and running
-     cold for a cold journal even when they don't. Only those fields are
-     adopted; every other header parameter is still validated strictly by
-     [load_journal]. An unreadable header falls through untouched and
+     the journal records a ["warmstart"] header field and a resume must
+     continue in the regime the journal was written under — re-capturing
+     the good trace even when the resuming invocation's flags differ, and
+     running cold for a cold journal even when they don't. Only that field
+     is adopted; every other header parameter is still validated strictly
+     by [load_journal]. An unreadable header falls through untouched and
      fails there with the proper error. *)
   let config =
     match config.journal with
@@ -539,16 +553,7 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
                   | Some (Jsonl.Bool b) -> b
                   | _ -> false
                 in
-                let journal_sched =
-                  match Jsonl.member "schedule" j with
-                  | Some (Jsonl.String s) -> Schedule.policy_of_string s
-                  | _ -> None
-                in
-                {
-                  config with
-                  warmstart = journal_warm;
-                  schedule = journal_sched;
-                })
+                { config with warmstart = journal_warm })
         | [] -> config)
     | _ -> config
   in
@@ -570,10 +575,8 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
   in
   (* Good-trace warm start: the coordinator captures the good network once
      (before any worker starts — the finished trace is immutable and
-     shared read-only; a pre-captured trace supplied via [config.capture]
-     is reused instead, the bench sweeps' one-capture-many-runs seam) and
-     computes each fault's activation window and the cone's
-     statically-undetectable set. Pruning is disabled under
+     shared read-only) and computes each fault's activation window and
+     the cone's statically-undetectable set. Pruning is disabled under
      [inject_divergence] so the injected fault is guaranteed to execute.
      Serial engines have no replay seam and ignore the flag. Everything
      else — ordering, batch decomposition, snapshot placement, warm-start
@@ -583,20 +586,15 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
     | Campaign.Ifsim | Campaign.Vfsim -> None
     | e when config.warmstart && n > 0 ->
         let trace =
-          match config.capture with
-          | Some t -> t
-          | None -> (
-              let cc =
-                {
-                  Engine.Concurrent.default_config with
-                  mode = Campaign.concurrent_mode e;
-                }
-              in
-              try
-                Engine.Concurrent.capture ~config:cc
-                  ?snapshot_every:config.snapshot_every
-                  ~instance:(instance_for 0) g w
-              with Workload.Invalid_workload msg -> err (Bad_workload msg))
+          let cc =
+            {
+              Engine.Concurrent.default_config with
+              mode = Campaign.concurrent_mode e;
+            }
+          in
+          let instance = instance_for 0 in
+          try Engine.Concurrent.capture ~config:cc ~instance g w
+          with Workload.Invalid_workload msg -> err (Bad_workload msg)
         in
         let cone = Flow.Cone.build g in
         let acts = Engine.Concurrent.activations ~cone trace g faults in
@@ -608,14 +606,10 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
         Some { Schedule.wi_trace = trace; wi_acts = acts; wi_pruned = pruned }
     | _ -> None
   in
-  let policy =
-    match (config.schedule, warm_input) with
-    | Some p, _ -> p
-    | None, Some _ -> Schedule.Adaptive
-    | None, None -> Schedule.Fixed
-  in
+  (* a cold plan (no warm input) degrades to Fixed *)
   let plan =
-    Schedule.plan ~policy ~granularity:(Schedule.Size config.batch_size)
+    Schedule.plan ~policy:Schedule.Adaptive
+      ~granularity:(Schedule.Size config.batch_size)
       ?capture_mem_limit:config.capture_mem_limit ?warm:warm_input ~design:g
       ~n ()
   in
@@ -1267,8 +1261,6 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
   !stats.Stats.total_seconds <- wall;
   (match warm_input with
   | Some _ ->
-      (* one capture run behind this result, whether this invocation ran
-         it or reused a shared one via [config.capture] *)
       !stats.Stats.goodtrace_captures <- 1;
       !stats.Stats.plan_batches <- nbatches;
       !stats.Stats.plan_snapshots <-

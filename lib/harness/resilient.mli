@@ -98,9 +98,9 @@ type config = {
           order, so the final report is byte-identical for any [jobs] (and
           a journal written at one [jobs] resumes at another). *)
   batch_size : int;  (** faults per batch, >= 1 *)
-  max_batch_seconds : float option;  (** per-batch wall-clock budget *)
-  max_batch_cycles : int option;  (** per-batch cycle budget *)
-  max_retries : int;  (** split generations after a watchdog trip *)
+  max_batch_seconds : float option;  (** per-batch wall-clock budget, >= 0 *)
+  max_batch_cycles : int option;  (** per-batch cycle budget, >= 0 *)
+  max_retries : int;  (** split generations after a watchdog trip, >= 0 *)
   oracle_sample : float;  (** per-batch oracle re-check probability, 0..1 *)
   sample_seed : int64;
   journal : string option;  (** JSONL checkpoint path *)
@@ -114,7 +114,7 @@ type config = {
           prints a progress line (faults/sec, ETA, live coverage) to stderr
           and appends a [{"type":"heartbeat",...}] record to the journal
           (heartbeats are skipped on resume — they never affect replay).
-          [None] disables the heartbeat. *)
+          [None] disables the heartbeat; an interval must be >= 0. *)
   supervise : bool;
       (** fault-tolerant mode: crashed batch tasks are retried on a fresh
           engine instance and budget-exhausted single-fault batches are
@@ -145,33 +145,15 @@ type config = {
           journal's flag (re-capturing the good trace for a warm journal,
           running cold for a cold one) regardless of this field's value,
           so a campaign always resumes in the regime it was started
-          under. Off by default. *)
-  snapshot_every : int option;
-      (** snapshot interval for the warm-start capture, in cycles
-          ([None]: [max 8 (cycles / 16)]). Smaller intervals skip dead
-          prefixes more precisely at a linear memory cost. The [Adaptive]
-          schedule replans snapshot placement after capture either way
-          (within the captured snapshot count as its budget). *)
-  schedule : Schedule.policy option;
-      (** planner policy for the batch decomposition ([None]: [Adaptive]
-          when warm, degrades to [Fixed] cold — which reproduces the
-          historical contiguous-chunk decomposition byte-for-byte).
-          Journaled in a warm header's ["schedule"] field and in the
-          typed [{"type":"plan",...}] record; on [resume] the journal's
-          policy is adopted like [warmstart]. Verdicts are byte-identical
-          across policies — batches never interact. *)
-  capture : Sim.Goodtrace.t option;
-      (** pre-captured good trace to plan from instead of capturing one
-          here ([warmstart] runs only). The capture runs zero faults, so
-          a trace is valid for every engine mode — this is how the bench
-          sweeps share one capture across engines, jobs and schedule
-          policies. [goodtrace_captures] still reports 1: one capture run
-          stands behind the result. *)
+          under. Warm runs plan {!Schedule.Adaptive}, cold runs
+          {!Schedule.Fixed}; a warm header also records that policy
+          under ["schedule"], and a journal naming any other policy fails
+          resume with [Journal_corrupt]. Off by default. *)
   capture_mem_limit : int option;
       (** spill the planned trace's int64 payloads to a disk-backed mmap
           ({!Sim.Goodtrace.spill}) when its [capture_bytes] exceeds this
-          many bytes ([None]: never spill). Replay — and the report's
-          bytes — are unchanged. *)
+          many bytes, >= 0 ([None]: never spill). Replay — and the
+          report's bytes — are unchanged. *)
 }
 
 (** Eraser engine, batches of 64, no watchdog, no journal, no sampling. *)
@@ -207,8 +189,9 @@ type summary = {
       (** heap footprint of the good-trace capture (0 on a cold run) *)
 }
 
-(** Run (or resume) a campaign. Raises {!Campaign_error} only — engine-level
-    [Workload.Invalid_workload] is mapped to [Bad_workload], budget trips
+(** Run (or resume) a campaign. Raises {!Campaign_error} only — a config
+    field outside its documented range and engine-level
+    [Workload.Invalid_workload] are mapped to [Bad_workload], budget trips
     that survive retries to [Batch_timeout]. *)
 val run :
   ?config:config ->

@@ -1,15 +1,6 @@
-type policy = Fixed | Activation | Adaptive
+type policy = Fixed | Adaptive
 
-let policy_name = function
-  | Fixed -> "fixed"
-  | Activation -> "activation"
-  | Adaptive -> "adaptive"
-
-let policy_of_string = function
-  | "fixed" -> Some Fixed
-  | "activation" -> Some Activation
-  | "adaptive" -> Some Adaptive
-  | _ -> None
+let policy_name = function Fixed -> "fixed" | Adaptive -> "adaptive"
 
 type granularity = Size of int | Chunks of int
 
@@ -107,13 +98,13 @@ let plan ~policy ~granularity ?capture_mem_limit ?warm
   done;
   let live = Array.of_list !live in
   let pruned = Array.of_list !pruned in
-  (* without a capture there are no activation windows: every policy means
-     the same thing, so the plan degrades to Fixed *)
+  (* without a capture there are no activation windows, so the plan
+     degrades to Fixed *)
   let policy = match warm with None -> Fixed | Some _ -> policy in
   let order =
     match (policy, warm) with
     | Fixed, _ | _, None -> live
-    | (Activation | Adaptive), Some wi ->
+    | Adaptive, Some wi ->
         let o = Array.copy live in
         Array.sort
           (fun a b ->

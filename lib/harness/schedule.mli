@@ -13,19 +13,17 @@
     Because batches never interact — each fault's verdict depends only on
     its own injected run against the shared good network — any plan is
     sound: stats-free verdict reports are byte-identical for {e any}
-    permutation partition of the fault set. Policies only trade how much
-    redundant good-network prefix the engine gets to skip. *)
+    permutation partition of the fault set. The policy only trades how
+    much redundant good-network prefix the engine gets to skip. *)
 
-(** How faults are grouped and warm-started:
+(** How faults are grouped and warm-started. Campaigns do not choose:
+    warm runs plan [Adaptive], cold runs [Fixed].
 
     - [Fixed] — batches cut from ascending fault ids, snapshots on the
       capture's fixed grid. On a cold run this reproduces the historical
       contiguous-chunk decomposition byte-for-byte.
-    - [Activation] — faults sorted by activation window (ties by id) so
-      batches share dead prefixes; snapshots stay on the capture grid and
-      each batch starts from the latest grid snapshot at or before its
-      earliest activation.
-    - [Adaptive] — activation-sorted batches, but the snapshot set itself
+    - [Adaptive] — faults sorted by activation window (ties by id) so
+      batches share dead prefixes, and the snapshot set itself
       is replanned: each batch's exact earliest-activation boundary is
       reconstructed post hoc ({!Sim.Goodtrace.with_snapshots}) under a
       budget of at most as many snapshots as the capture already held, so
@@ -34,11 +32,10 @@
       keeping the earlier — hence still sound — cycle) until the budget
       holds.
 
-    Without a warm capture every policy degrades to [Fixed]. *)
-type policy = Fixed | Activation | Adaptive
+    Without a warm capture the plan degrades to [Fixed]. *)
+type policy = Fixed | Adaptive
 
 val policy_name : policy -> string
-val policy_of_string : string -> policy option
 
 (** Batch decomposition grain: [Size s] cuts batches of at most [s] faults
     ({!Resilient}'s [batch_size] — independent of worker count, so plans

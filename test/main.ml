@@ -25,4 +25,5 @@ let () =
       ("warmstart", Test_warmstart.suite);
       ("activation", Test_activation.suite);
       ("schedule", Test_schedule.suite);
+      ("cli", Test_cli.suite);
     ]

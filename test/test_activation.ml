@@ -239,6 +239,30 @@ let first_output_divergence ~repr g w (f : Fault.t) =
       else true);
   !div
 
+(* The pre-cone conservative rule, straight from
+   {!Sim.Goodtrace.first_divergence}: comb-driven signals are the targets
+   of continuous assigns and comb-process blocking writes. *)
+let legacy_windows trace (g : Rtlir.Elaborate.t) faults =
+  let comb_driven =
+    Array.make (Rtlir.Design.num_signals g.Rtlir.Elaborate.design) false
+  in
+  Array.iter
+    (Array.iter (fun id -> comb_driven.(id) <- true))
+    g.Rtlir.Elaborate.comb_writes;
+  Sim.Goodtrace.first_divergence trace ~comb_driven
+    (Array.map
+       (fun (f : Fault.t) ->
+         {
+           Sim.Goodtrace.s_signal = f.Fault.signal;
+           s_bit = f.Fault.bit;
+           s_kind =
+             (match f.Fault.stuck with
+             | Fault.Stuck_at_0 -> Sim.Goodtrace.Stuck0
+             | Fault.Stuck_at_1 -> Sim.Goodtrace.Stuck1
+             | Fault.Flip_at c -> Sim.Goodtrace.Transient c);
+         })
+       faults)
+
 (* The soundness contract of the refined rule, checked per scenario:
    - refined activations are pointwise >= the legacy first-divergence rule
      (the window only ever moves later);
@@ -255,7 +279,7 @@ let check_scenario name g w faults =
     let cone = Flow.Cone.build g in
     let trace = Engine.Concurrent.capture g w in
     let acts = Engine.Concurrent.activations ~cone trace g faults in
-    let legacy = Engine.Concurrent.legacy_activations trace g faults in
+    let legacy = legacy_windows trace g faults in
     let dead = Engine.Concurrent.statically_undetectable ~cone g faults in
     let oracle = Baselines.Serial.ifsim g w faults in
     Array.iteri

@@ -174,30 +174,22 @@ let test_parameter_mismatch () =
         g w faults);
   Sys.remove journal
 
-(* A journal from a build that still had lane-packed execution carries a
-   ["lanes"] header field this runner never writes. It must not resume in
-   a different mode: header equality rejects it as Journal_corrupt (CLI
-   exit 5), with no compatibility branch in the runner. *)
-let test_lanes_header_rejected () =
+(* Run [cfg] to a journal, rewrite the journal header's fields with [f],
+   and expect resume to reject it as Journal_corrupt (CLI exit 5). *)
+let expect_header_rejected name ~cfg f =
   let _, g, w, faults = campaign "alu" in
   let journal = temp_journal () in
-  let cfg =
-    { R.default_config with R.batch_size = 7; journal = Some journal }
-  in
+  let cfg = { cfg with R.batch_size = 7; journal = Some journal } in
   ignore (R.run ~config:cfg g w faults);
   (match journal_lines journal with
   | header :: rest -> (
       match H.Jsonl.parse header with
       | H.Jsonl.Obj kvs ->
-          let lanes_header =
-            H.Jsonl.to_string
-              (H.Jsonl.Obj (kvs @ [ ("lanes", H.Jsonl.Bool true) ]))
-          in
-          write_file journal
-            (String.concat "\n" (lanes_header :: rest) ^ "\n")
+          let header = H.Jsonl.to_string (H.Jsonl.Obj (f kvs)) in
+          write_file journal (String.concat "\n" (header :: rest) ^ "\n")
       | _ -> Alcotest.fail "journal header is not an object")
   | [] -> Alcotest.fail "empty journal");
-  expect_error "lanes header"
+  expect_error name
     (function
       | R.Journal_corrupt _ as e ->
           check int_t "corrupt-journal exit code" 5 (R.exit_code e);
@@ -205,6 +197,28 @@ let test_lanes_header_rejected () =
       | _ -> false)
     (fun () -> R.run ~config:{ cfg with R.resume = true } g w faults);
   Sys.remove journal
+
+(* A journal from a build that still had lane-packed execution carries a
+   ["lanes"] header field this runner never writes. It must not resume in
+   a different mode: header equality rejects it, with no compatibility
+   branch in the runner. *)
+let test_lanes_header_rejected () =
+  expect_header_rejected "lanes header" ~cfg:R.default_config (fun kvs ->
+      kvs @ [ ("lanes", H.Jsonl.Bool true) ])
+
+(* A warm journal always records the Adaptive plan. One naming another
+   policy (written by a build that let the user pick it) is rejected by
+   header equality: resume adopts only ["warmstart"] from the header. *)
+let test_schedule_header_rejected () =
+  List.iter
+    (fun policy ->
+      expect_header_rejected
+        (Printf.sprintf "%s schedule header" policy)
+        ~cfg:{ R.default_config with R.warmstart = true }
+        (List.map (function
+          | "schedule", _ -> ("schedule", H.Jsonl.String policy)
+          | kv -> kv)))
+    [ "activation"; "fixed" ]
 
 let test_journal_overwritten_without_resume () =
   let _, g, w, faults = campaign "apb" in
@@ -602,6 +616,43 @@ let test_negative_cycles_rejected () =
     (function R.Bad_workload _ -> true | _ -> false)
     (fun () -> ignore (R.run g w faults))
 
+(* Every numeric runner limit is range-checked up front (Bad_workload, CLI
+   exit 6). Zero stays valid: a zero budget is a legitimate (immediately
+   tripping) watchdog, so those rows must not fail as Bad_workload. *)
+let test_runner_limits_validated () =
+  let _, g, w, faults = campaign "alu" in
+  let d = R.default_config in
+  List.iter
+    (fun (name, config, rejected) ->
+      match R.run ~config g w faults with
+      | _ -> if rejected then Alcotest.failf "%s: accepted" name
+      | exception R.Campaign_error (R.Bad_workload _ as e) ->
+          if not rejected then Alcotest.failf "%s: rejected" name;
+          check int_t (name ^ ": bad-workload exit code") 6 (R.exit_code e)
+      | exception R.Campaign_error e ->
+          if rejected then
+            Alcotest.failf "%s: %s instead of a bad workload" name
+              (R.error_message e))
+    [
+      ("max_batch_seconds -1", { d with R.max_batch_seconds = Some (-1.) },
+       true);
+      ("max_batch_seconds nan", { d with R.max_batch_seconds = Some nan },
+       true);
+      ("max_batch_seconds 0", { d with R.max_batch_seconds = Some 0.0 }, false);
+      ("max_batch_cycles -1", { d with R.max_batch_cycles = Some (-1) }, true);
+      ("max_batch_cycles 0", { d with R.max_batch_cycles = Some 0 }, false);
+      ("max_retries -1", { d with R.max_retries = -1 }, true);
+      ("max_retries 0", { d with R.max_retries = 0 }, false);
+      ("progress -1", { d with R.progress = Some (-1.0) }, true);
+      ("progress nan", { d with R.progress = Some nan }, true);
+      ("progress 0", { d with R.progress = Some 0.0 }, false);
+      ("capture_mem_limit -5", { d with R.capture_mem_limit = Some (-5) },
+       true);
+      ( "capture_mem_limit 0",
+        { d with R.warmstart = true; capture_mem_limit = Some 0 },
+        false );
+    ]
+
 let test_unknown_drive_target_rejected () =
   let _, g, w, faults = campaign "alu" in
   let bad = { w with Workload.drive = (fun _ -> [ (9999, Rtlir.Bits.one 1) ]) } in
@@ -669,6 +720,8 @@ let suite =
       test_parameter_mismatch;
     Alcotest.test_case "journal with a lanes header rejected" `Quick
       test_lanes_header_rejected;
+    Alcotest.test_case "journal with a non-adaptive schedule rejected" `Quick
+      test_schedule_header_rejected;
     Alcotest.test_case "stale journal overwritten without resume" `Quick
       test_journal_overwritten_without_resume;
     Alcotest.test_case "torn tail survives double resume" `Quick
@@ -698,6 +751,8 @@ let suite =
     Alcotest.test_case "with_budget unit" `Quick test_budget_exceeded_unit;
     Alcotest.test_case "negative cycle count rejected" `Quick
       test_negative_cycles_rejected;
+    Alcotest.test_case "numeric runner limits validated" `Quick
+      test_runner_limits_validated;
     Alcotest.test_case "unknown drive target rejected" `Quick
       test_unknown_drive_target_rejected;
     Alcotest.test_case "clock in drive rejected" `Quick

@@ -122,7 +122,7 @@ let test_partition_property () =
                           k)
                     seen)
                 granularities)
-            [ H.Schedule.Fixed; H.Schedule.Activation; H.Schedule.Adaptive ])
+            [ H.Schedule.Fixed; H.Schedule.Adaptive ])
         [ ("cold", None); ("warm", Some warm) ])
     fault_sets
 
@@ -159,9 +159,9 @@ let test_fixed_cold_reproduces_chunks () =
         plan.H.Schedule.sp_batches)
     [ 1; 2; 4; 7; 97 ]
 
-(* Plan execution vs the serial oracle: for every policy, the warm planned
-   campaign's verdicts report is byte-identical to the cold one, across
-   engines and worker counts. *)
+(* Plan execution vs the serial oracle: the warm (Adaptive) planned
+   campaign's verdicts report is byte-identical to the cold (Fixed) one,
+   across engines and worker counts. *)
 let test_planned_verdicts_byte_identical () =
   let c = Circuits.find "alu" in
   let d, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale:0.1 in
@@ -170,21 +170,14 @@ let test_planned_verdicts_byte_identical () =
       let cold = H.Campaign.run engine g w faults in
       let cold_s = render_verdicts ~design:d ~engine ~faults cold in
       List.iter
-        (fun schedule ->
-          List.iter
-            (fun jobs ->
-              let warm =
-                H.Campaign.run ~jobs ~warmstart:true ~schedule engine g w
-                  faults
-              in
-              let warm_s = render_verdicts ~design:d ~engine ~faults warm in
-              if warm_s <> cold_s then
-                Alcotest.failf "%s -j %d --schedule %s: verdicts differ"
-                  (H.Campaign.engine_name engine)
-                  jobs
-                  (H.Schedule.policy_name schedule))
-            [ 1; 2 ])
-        [ H.Schedule.Fixed; H.Schedule.Activation; H.Schedule.Adaptive ])
+        (fun jobs ->
+          let warm = H.Campaign.run ~jobs ~warmstart:true engine g w faults in
+          let warm_s = render_verdicts ~design:d ~engine ~faults warm in
+          if warm_s <> cold_s then
+            Alcotest.failf "%s -j %d: warm verdicts differ"
+              (H.Campaign.engine_name engine)
+              jobs)
+        [ 1; 2 ])
     [ H.Campaign.Z01x_proxy; H.Campaign.Eraser ]
 
 (* Simulate a mid-campaign crash: drop the journal's final record. *)
@@ -207,9 +200,8 @@ let drop_last_line path =
   close_out oc
 
 (* A warm journal carries the plan (header field + typed record); a torn
-   campaign resumed at a different worker count — and even under a
-   different --schedule flag, which resume must ignore in favour of the
-   journal's policy — replays to a byte-identical resilient report. *)
+   campaign resumed at a different worker count replays to a
+   byte-identical resilient report. *)
 let test_plan_resumes_across_jobs () =
   let c = Circuits.find "alu" in
   let d, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale:0.1 in
@@ -236,13 +228,7 @@ let test_plan_resumes_across_jobs () =
       drop_last_line journal;
       let resumed =
         H.Resilient.run
-          ~config:
-            {
-              cfg with
-              H.Resilient.resume = true;
-              jobs = 4;
-              schedule = Some H.Schedule.Fixed;
-            }
+          ~config:{ cfg with H.Resilient.resume = true; jobs = 4 }
           g w faults
       in
       if resumed.H.Resilient.batches_resumed = 0 then
@@ -273,7 +259,7 @@ let test_refinement_invariants () =
   let n = Array.length faults in
   let warm = warm_input g w faults in
   let plan =
-    H.Schedule.plan ~policy:H.Schedule.Activation
+    H.Schedule.plan ~policy:H.Schedule.Adaptive
       ~granularity:(H.Schedule.Size 4) ~warm ~design:g ~n ()
   in
   let trace =
