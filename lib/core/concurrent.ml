@@ -363,7 +363,9 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
     }
   in
   let fault_nba = ref [] in
-  let fault_nba_mem = ref [] in
+  (* per fault: its own copies' memory writes this round, newest first, as
+     (pid, mem, addr, value) *)
+  let fault_mem_writes = Array.make nfaults [] in
   let cur_pid = ref (-1) in
   let ff_fault_writer =
     {
@@ -372,7 +374,8 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
         (fun id v -> fault_nba := (!cur_fault, id, v) :: !fault_nba);
       iwrite_mem =
         (fun m a v ->
-          fault_nba_mem := (!cur_pid, !cur_fault, m, a, v) :: !fault_nba_mem);
+          let f = !cur_fault in
+          fault_mem_writes.(f) <- (!cur_pid, m, a, v) :: fault_mem_writes.(f));
     }
   in
   (* ---- compiled nodes (shared, immutable — see {!instance}) ---- *)
@@ -459,28 +462,41 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
       Ivec.push fset f
     end
   in
-  let add_sig_faults id =
+  (* Read stamps: collecting a node's fault set from its *read* signals and
+     memories stamps each fault with the set's generation, so "does this
+     fault see a diff on any input" is one array read afterwards. Exact
+     because a stored signal diff always differs from the good value
+     ([set_diff] and [write_good] drop equal entries) and a memory's fault
+     index holds exactly the faults with a diverging word. *)
+  let rstamp = Array.make nfaults 0 in
+  let add_read_fault f =
+    rstamp.(f) <- !gen;
+    add_fault f
+  in
+  let scan_sig_faults add id =
     let tbl = diffs.(id) in
     if Diffstore.length tbl > 0 then begin
       Ivec.clear scratch_dead;
       Diffstore.iter_keys tbl (fun f ->
-          if live.(f) then add_fault f else Ivec.push scratch_dead f);
+          if live.(f) then add f else Ivec.push scratch_dead f);
       Ivec.iter (fun f -> Diffstore.remove tbl f) scratch_dead
     end
   in
-  let add_mem_faults m =
+  let scan_mem_faults add m =
     Diffstore.Counts.iter_keys mem_fault_words.(m) (fun f ->
-        if live.(f) then add_fault f)
+        if live.(f) then add f)
   in
+  let add_sig_faults = scan_sig_faults add_fault in
+  let add_mem_faults = scan_mem_faults add_fault in
+  let add_read_faults = scan_sig_faults add_read_fault in
+  let add_read_mem_faults = scan_mem_faults add_read_fault in
+  let input_diff f = rstamp.(f) = !gen in
   let add_all_live () =
     for f = 0 to nfaults - 1 do
       add_fault f
     done
   in
   (* ---- Algorithm 1: the implicit-redundancy walk ---- *)
-  let input_diff f reads read_mems =
-    Array.exists (visible f) reads || Array.exists (mem_visible f) read_mems
-  in
   let mem_word_diff f m a =
     let good = State.get_mem st m a in
     Diffstore.find mem_diffs.(m) (mem_key m f a) ~default:good <> good
@@ -637,7 +653,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
           let executed = ref 0 and implicit = ref 0 and expl = ref 0 in
           let do_fault f =
             cur_fault := f;
-            let idiff = input_diff f p.reads p.read_mems in
+            let idiff = input_diff f in
             let must_exec =
               match config.mode with
               | No_redundancy -> true
@@ -674,8 +690,8 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
           (match config.mode with
           | No_redundancy when gd -> add_all_live ()
           | No_redundancy | Explicit_only | Full ->
-              Array.iter add_sig_faults p.reads;
-              Array.iter add_mem_faults p.read_mems;
+              Array.iter add_read_faults p.reads;
+              Array.iter add_read_mem_faults p.read_mems;
               Array.iter add_sig_faults p.writes);
           (* Faults sited on a blocking-write target must always execute:
              forcing the bit at an intermediate write can steer a later
@@ -713,7 +729,76 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
   let prev_clock_diff : Diffstore.t array =
     Array.init nclk (fun _ -> Diffstore.create ~expect:nfaults ())
   in
+  (* ---- edge-round bookkeeping, allocated once per run ----
+     A pair key [pid * stride + f] names fault [f]'s copy of process [pid].
+     Each round resets what it filled, touching only the processes and
+     faults it fired, suppressed or executed. *)
+  let stride = max 1 nfaults in
+  let pair pid f = (pid * stride) + f in
   let good_fired = Array.make nproc false in
+  let good_writes_of = Array.make nproc [] in
+  let good_mem_writes_of = Array.make nproc [] in
+  let mem_writer =
+    Array.map (fun ms -> Array.length ms > 0) g.proc_write_mems
+  in
+  let suppressed = Diffstore.Counts.create ~expect:expect_site () in
+  let n_suppressed = Array.make nproc 0 in
+  let solo = Ivec.create ~capacity:16 () in
+  let recon = Ivec.create ~capacity:16 () in
+  (* memory writers only: the pairs that executed their own copy, and per
+     fault the solo-activated writers *)
+  let executed_mw = Diffstore.Counts.create ~expect:expect_site () in
+  let solo_mw_of = Array.make nfaults [] in
+  let involved = Ivec.create ~capacity:16 () in
+  let istamp = Array.make nfaults 0 in
+  let round_no = ref 0 in
+  let involve f =
+    if istamp.(f) <> !round_no then begin
+      istamp.(f) <- !round_no;
+      Ivec.push involved f
+    end
+  in
+  let preserved = ref [] in
+  let preserved_mem = ref [] in
+  let preserve_for pid f =
+    List.iter
+      (fun (id, _) -> preserved := (f, id, fault_value f id) :: !preserved)
+      good_writes_of.(pid);
+    List.iter
+      (fun (m, a, _) ->
+        preserved_mem := (f, m, a, fault_mem_value f m a) :: !preserved_mem)
+      good_mem_writes_of.(pid)
+  in
+  (* Memory commits must respect each faulty network's program order
+     across processes: the same memory may be written by several
+     processes, and a fault that executed its own copy of one process still
+     follows the good copies of all the others. Replay fault [f]'s
+     effective write sequence over the memory writers it fired, in process
+     order: suppressed -> no writes, executed -> its own writes, otherwise
+     -> the good writes. A process that writes no memory adds nothing to
+     the sequence, so visiting only writers keeps the order exact. *)
+  let replay_mem_writes fired_mw f =
+    let own = List.rev fault_mem_writes.(f) in
+    let visit pid =
+      let k = pair pid f in
+      if Diffstore.Counts.mem suppressed k then ()
+      else if Diffstore.Counts.mem executed_mw k then
+        List.iter
+          (fun (p, m, a, v) -> if p = pid then set_mem_diff m f a v)
+          own
+      else if good_fired.(pid) then
+        List.iter
+          (fun (m, a, v) -> set_mem_diff m f a v)
+          good_mem_writes_of.(pid)
+    in
+    (match solo_mw_of.(f) with
+    | [] -> List.iter visit fired_mw
+    | solo_pids ->
+        List.iter visit
+          (List.merge compare fired_mw (List.sort_uniq compare solo_pids)));
+    fault_mem_writes.(f) <- [];
+    solo_mw_of.(f) <- []
+  in
   (* ---- the edge-triggered phase of one time slot ---- *)
   let step () =
     settle ();
@@ -722,10 +807,9 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
     while !continue do
       incr rounds;
       if !rounds > 16 then failwith "concurrent: clock cascade did not settle";
-      Array.fill good_fired 0 nproc false;
+      incr round_no;
+      let ed_t0 = if tracing then Obs.Trace.span_begin "edge_detect" else 0 in
       let fired_list = ref [] in
-      let suppress = ref [] in
-      let solo = ref [] in
       for ci = 0 to nclk - 1 do
         let c = g.clocks.(ci) in
         let old_g = prev_clock_good.(ci) and new_g = State.get st c in
@@ -756,8 +840,11 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
                 (fun (pid, edge) ->
                   let gf = edge_fired edge ~old_b:old_g ~new_b:new_g in
                   let ff = edge_fired edge ~old_b:old_f ~new_b:new_f in
-                  if gf && not ff then suppress := (pid, f) :: !suppress
-                  else if (not gf) && ff then solo := (pid, f) :: !solo)
+                  if gf && not ff then begin
+                    Diffstore.Counts.bump suppressed (pair pid f) 1;
+                    n_suppressed.(pid) <- n_suppressed.(pid) + 1
+                  end
+                  else if (not gf) && ff then Ivec.push solo (pair pid f))
                 g.ff_of_clock.(c))
             fset
         end;
@@ -766,26 +853,26 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
         Diffstore.iter diffs.(c) (fun f v ->
             if live.(f) then Diffstore.set prev_clock_diff.(ci) f v)
       done;
+      if tracing then Obs.Trace.span_end "edge_detect" ed_t0;
       let fired = List.sort compare !fired_list in
-      if fired = [] && !solo = [] then continue := false
+      if fired = [] && Ivec.is_empty solo then continue := false
       else begin
-        let good_writes_of = Hashtbl.create 8 in
-        let good_mem_writes_of = Hashtbl.create 8 in
-        fault_nba := [];
-        fault_nba_mem := [];
-        let preserved = ref [] in
-        let preserved_mem = ref [] in
-        let recon = ref [] in
-        let executed_pairs = Hashtbl.create 16 in
-        let preserve_for pid f =
-          List.iter
-            (fun (id, _) -> preserved := (f, id, fault_value f id) :: !preserved)
-            (try Hashtbl.find good_writes_of pid with Not_found -> []);
-          List.iter
-            (fun (m, a, _) ->
-              preserved_mem := (f, m, a, fault_mem_value f m a) :: !preserved_mem)
-            (try Hashtbl.find good_mem_writes_of pid with Not_found -> [])
+        let fired_mw = List.filter (fun pid -> mem_writer.(pid)) fired in
+        (* memory-commit replay is needed only when a memory writer fires
+           or is solo-activated; otherwise it would write nothing *)
+        let mem_round =
+          fired_mw <> []
+          ||
+          let any = ref false in
+          Ivec.iter
+            (fun k -> if mem_writer.(k / stride) then any := true)
+            solo;
+          !any
         in
+        fault_nba := [];
+        preserved := [];
+        preserved_mem := [];
+        Ivec.clear recon;
         bn_begin ();
         List.iter
           (fun pid ->
@@ -797,8 +884,8 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
                   Goodtrace.take_ff_proc cur ~pid
                     ~set_choice:(restore_choices pid)
                 in
-                Hashtbl.replace good_writes_of pid ws;
-                Hashtbl.replace good_mem_writes_of pid mws
+                good_writes_of.(pid) <- ws;
+                good_mem_writes_of.(pid) <- mws
             | Gcap _ | Gcold ->
                 cur_good_writes := [];
                 cur_good_mem_writes := [];
@@ -817,22 +904,19 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
                     Goodtrace.rec_ff_proc b ~pid ~writes:ws ~mem_writes:mws
                       ~choices:(choices_of pid)
                 | _ -> ());
-                Hashtbl.replace good_writes_of pid ws;
-                Hashtbl.replace good_mem_writes_of pid mws);
-            let reads = g.proc_reads.(pid) in
-            let read_mems = g.proc_read_mems.(pid) in
-            let suppressed_here =
-              List.filter (fun (p, _) -> p = pid) !suppress
-            in
-            let is_suppressed f =
-              List.exists (fun (_, sf) -> sf = f) suppressed_here
-            in
+                good_writes_of.(pid) <- ws;
+                good_mem_writes_of.(pid) <- mws);
+            let n_supp = n_suppressed.(pid) in
+            let mw = mem_writer.(pid) in
             let live_at = !n_live in
-            let executed = ref 0 and implicit = ref 0 and expl = ref 0 in
+            let executed = ref 0 and implicit = ref 0 in
             let do_fault f =
-              if not (is_suppressed f) then begin
+              if
+                n_supp = 0
+                || not (Diffstore.Counts.mem suppressed (pair pid f))
+              then begin
                 cur_fault := f;
-                let idiff = input_diff f reads read_mems in
+                let idiff = input_diff f in
                 let must_exec =
                   match config.mode with
                   | No_redundancy -> true
@@ -847,136 +931,100 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
                       end
                       else true
                 in
+                if mem_round then involve f;
                 if must_exec then begin
                   incr executed;
                   per_proc_exec.(pid) <- per_proc_exec.(pid) + 1;
-                  Hashtbl.replace executed_pairs (pid, f) ();
+                  if mw then Diffstore.Counts.bump executed_mw (pair pid f) 1;
                   preserve_for pid f;
                   stats.Stats.bn_fault_exec <- stats.Stats.bn_fault_exec + 1;
                   Compile.exec_i cp fault_reader ff_fault_writer
                 end
-                else begin
-                  if not (idiff && config.mode = Full) then incr expl;
-                  recon := (pid, f) :: !recon
-                end
+                else Ivec.push recon (pair pid f)
               end
             in
             begin_set ();
             (match config.mode with
             | No_redundancy -> add_all_live ()
             | Explicit_only | Full ->
-                Array.iter add_sig_faults reads;
-                Array.iter add_mem_faults read_mems;
+                Array.iter add_read_faults g.proc_reads.(pid);
+                Array.iter add_read_mem_faults g.proc_read_mems.(pid);
                 Array.iter add_sig_faults g.proc_nb_writes.(pid);
                 Array.iter add_mem_faults g.proc_write_mems.(pid));
             Ivec.iter do_fault fset;
             stats.Stats.bn_skipped_implicit <-
               stats.Stats.bn_skipped_implicit + !implicit;
-            let expl_here =
-              live_at - List.length suppressed_here - !executed - !implicit
-            in
+            let expl_here = live_at - n_supp - !executed - !implicit in
             stats.Stats.bn_skipped_explicit <-
               stats.Stats.bn_skipped_explicit + expl_here;
             per_proc_expl.(pid) <- per_proc_expl.(pid) + expl_here)
           fired;
         (* suppressed faults keep their (and the good network's) old register
-           values: capture them before the commit moves the good values *)
-        List.iter
-          (fun (pid, f) -> if good_fired.(pid) then preserve_for pid f)
-          !suppress;
+           values: capture them before the commit moves the good values. A
+           suppressed process always fired in the good network. *)
+        Diffstore.Counts.iter_keys suppressed (fun k ->
+            let f = k mod stride in
+            preserve_for (k / stride) f;
+            if mem_round then involve f);
         (* solo activations: the faulty network sees an edge the good one
            does not *)
-        List.iter
-          (fun (pid, f) ->
+        Ivec.iter
+          (fun k ->
+            let pid = k / stride and f = k mod stride in
             if (not good_fired.(pid)) && live.(f) then begin
               cur_fault := f;
               cur_pid := pid;
               stats.Stats.bn_fault_exec <- stats.Stats.bn_fault_exec + 1;
               per_proc_exec.(pid) <- per_proc_exec.(pid) + 1;
-              Hashtbl.replace executed_pairs (pid, f) ();
+              if mem_round then involve f;
+              if mem_writer.(pid) then begin
+                Diffstore.Counts.bump executed_mw k 1;
+                solo_mw_of.(f) <- pid :: solo_mw_of.(f)
+              end;
               Compile.exec_i (get_cp pid) fault_reader ff_fault_writer
             end)
-          !solo;
+          solo;
         bn_end ();
         (* ---- commit ---- *)
+        let nc_t0 = if tracing then Obs.Trace.span_begin "nba_commit" else 0 in
         List.iter
           (fun pid ->
-            List.iter
-              (fun (id, v) -> write_good id v)
-              (Hashtbl.find good_writes_of pid);
+            List.iter (fun (id, v) -> write_good id v) good_writes_of.(pid);
             List.iter
               (fun (m, a, v) -> write_good_mem m a v)
-              (Hashtbl.find good_mem_writes_of pid))
+              good_mem_writes_of.(pid))
           fired;
         List.iter (fun (f, id, v) -> if live.(f) then set_diff id f v)
           (List.rev !preserved);
         List.iter
           (fun (f, m, a, v) -> if live.(f) then set_mem_diff m f a v)
           (List.rev !preserved_mem);
-        List.iter
-          (fun (pid, f) ->
+        Ivec.iter
+          (fun k ->
+            let f = k mod stride in
             if live.(f) then
               List.iter
                 (fun (id, v) -> set_diff id f (force_if_site f id v))
-                (Hashtbl.find good_writes_of pid))
-          !recon;
+                good_writes_of.(k / stride))
+          recon;
         List.iter
           (fun (f, id, v) ->
             if live.(f) then set_diff id f (force_if_site f id v))
           (List.rev !fault_nba);
-        (* Memory commits must respect each faulty network's program order
-           across processes: the same memory may be written by several
-           processes, and a fault that executed its own copy of one process
-           still follows the good copies of all the others. For every fault
-           touched this batch, replay its effective write sequence in
-           process order: suppressed process -> no writes, executed
-           process -> its own writes, otherwise -> the good writes. *)
-        let fault_mem_writes = Hashtbl.create 8 in
-        List.iter
-          (fun (pid, f, m, a, v) ->
-            if live.(f) then
-              match Hashtbl.find_opt fault_mem_writes (pid, f) with
-              | None -> Hashtbl.add fault_mem_writes (pid, f) (ref [ (m, a, v) ])
-              | Some l -> l := (m, a, v) :: !l)
-          (List.rev !fault_nba_mem);
-        let any_good_mem_write =
-          List.exists (fun pid -> Hashtbl.find good_mem_writes_of pid <> []) fired
-        in
-        let involved = Hashtbl.create 16 in
-        let involve f = if live.(f) then Hashtbl.replace involved f () in
-        if any_good_mem_write || Hashtbl.length fault_mem_writes > 0 then begin
-          Hashtbl.iter (fun (_, f) () -> involve f) executed_pairs;
-          List.iter (fun (_, f) -> involve f) !suppress;
-          List.iter (fun (_, f) -> involve f) !recon
+        if mem_round then begin
+          Ivec.iter (replay_mem_writes fired_mw) involved;
+          Ivec.clear involved
         end;
-        let solo_pids_of f =
-          List.filter_map
-            (fun (pid, sf) ->
-              if sf = f && not good_fired.(pid) then Some pid else None)
-            !solo
-        in
-        let is_suppressed_at pid f =
-          List.exists (fun (p, sf) -> p = pid && sf = f) !suppress
-        in
-        Hashtbl.iter
-          (fun f () ->
-            let pids = List.sort_uniq compare (fired @ solo_pids_of f) in
-            List.iter
-              (fun pid ->
-                if is_suppressed_at pid f then ()
-                else if Hashtbl.mem executed_pairs (pid, f) then
-                  match Hashtbl.find_opt fault_mem_writes (pid, f) with
-                  | Some l ->
-                      List.iter
-                        (fun (m, a, v) -> set_mem_diff m f a v)
-                        (List.rev !l)
-                  | None -> ()
-                else if good_fired.(pid) then
-                  List.iter
-                    (fun (m, a, v) -> set_mem_diff m f a v)
-                    (Hashtbl.find good_mem_writes_of pid))
-              pids)
-          involved;
+        if tracing then Obs.Trace.span_end "nba_commit" nc_t0;
+        (* reset the round's bookkeeping *)
+        List.iter
+          (fun pid ->
+            good_fired.(pid) <- false;
+            n_suppressed.(pid) <- 0)
+          fired;
+        Diffstore.Counts.clear suppressed;
+        Diffstore.Counts.clear executed_mw;
+        Ivec.clear solo;
         settle ()
       end
     done

@@ -13,6 +13,17 @@ let capacity_for expect =
   (* load factor 1/2 at the expected population, 8 slots minimum *)
   next_pow2 (max 8 (2 * max 1 expect)) 8
 
+(* Capacity for the rehash forced when live entries plus tombstones pass
+   the 1/2 load limit of a [mask + 1]-slot table. Only live entries ask for
+   more room: the table doubles once they fill a quarter of it, otherwise
+   it rehashes at the same size and the tombstones are dropped. Either way
+   at least a quarter of the slots is free again before the next rehash, so
+   a table churned through many distinct keys stays sized by its live
+   population, not by its insert history. *)
+let grown_capacity ~count mask =
+  let cap = mask + 1 in
+  if 4 * count > cap then 2 * cap else cap
+
 (* A cleared table shrinks back to its expected size once its capacity has
    outgrown it by this factor, so a one-off giant batch does not pin its
    high-water footprint for the rest of a campaign. *)
@@ -101,7 +112,7 @@ let set t key v =
       t.count <- t.count + 1;
       if target = i then begin
         t.used <- t.used + 1;
-        if 2 * t.used > mask then rehash t (2 * (mask + 1))
+        if 2 * t.used > mask then rehash t (grown_capacity ~count:t.count mask)
       end
     end
     else if k = tombstone then
@@ -117,29 +128,38 @@ let remove t key =
     t.count <- t.count - 1
   end
 
+(* A table with no used slot is already clear (it cannot be oversized
+   either: only inserts grow it), so clearing it costs nothing. *)
 let clear t =
-  if Array.length t.keys > shrink_factor * t.base_cap then begin
-    t.keys <- Array.make t.base_cap empty_slot;
-    t.vals <- make_vals t.base_cap;
-    t.mask <- t.base_cap - 1
+  if t.used > 0 then begin
+    if Array.length t.keys > shrink_factor * t.base_cap then begin
+      t.keys <- Array.make t.base_cap empty_slot;
+      t.vals <- make_vals t.base_cap;
+      t.mask <- t.base_cap - 1
+    end
+    else Array.fill t.keys 0 (Array.length t.keys) empty_slot;
+    t.count <- 0;
+    t.used <- 0
   end
-  else Array.fill t.keys 0 (Array.length t.keys) empty_slot;
-  t.count <- 0;
-  t.used <- 0
 
+(* Iteration is O(capacity); an empty table returns at once. *)
 let iter t f =
-  let keys = t.keys in
-  for i = 0 to Array.length keys - 1 do
-    let k = Array.unsafe_get keys i in
-    if k >= 0 then f k (Bigarray.Array1.unsafe_get t.vals i)
-  done
+  if t.count > 0 then begin
+    let keys = t.keys in
+    for i = 0 to Array.length keys - 1 do
+      let k = Array.unsafe_get keys i in
+      if k >= 0 then f k (Bigarray.Array1.unsafe_get t.vals i)
+    done
+  end
 
 let iter_keys t f =
-  let keys = t.keys in
-  for i = 0 to Array.length keys - 1 do
-    let k = Array.unsafe_get keys i in
-    if k >= 0 then f k
-  done
+  if t.count > 0 then begin
+    let keys = t.keys in
+    for i = 0 to Array.length keys - 1 do
+      let k = Array.unsafe_get keys i in
+      if k >= 0 then f k
+    done
+  end
 
 module Counts = struct
   type t = {
@@ -163,6 +183,7 @@ module Counts = struct
     }
 
   let length t = t.count
+  let capacity t = Array.length t.keys
 
   let find_slot t key =
     let keys = t.keys and mask = t.mask in
@@ -220,7 +241,8 @@ module Counts = struct
           t.count <- t.count + 1;
           if target = i then begin
             t.used <- t.used + 1;
-            if 2 * t.used > mask then rehash t (2 * (mask + 1))
+            if 2 * t.used > mask then
+              rehash t (grown_capacity ~count:t.count mask)
           end
         end
       end
@@ -231,19 +253,23 @@ module Counts = struct
     probe (hash key land mask) (-1)
 
   let iter_keys t f =
-    let keys = t.keys in
-    for i = 0 to Array.length keys - 1 do
-      let k = Array.unsafe_get keys i in
-      if k >= 0 then f k
-    done
+    if t.count > 0 then begin
+      let keys = t.keys in
+      for i = 0 to Array.length keys - 1 do
+        let k = Array.unsafe_get keys i in
+        if k >= 0 then f k
+      done
+    end
 
   let clear t =
-    if Array.length t.keys > shrink_factor * t.base_cap then begin
-      t.keys <- Array.make t.base_cap empty_slot;
-      t.cnts <- Array.make t.base_cap 0;
-      t.mask <- t.base_cap - 1
+    if t.used > 0 then begin
+      if Array.length t.keys > shrink_factor * t.base_cap then begin
+        t.keys <- Array.make t.base_cap empty_slot;
+        t.cnts <- Array.make t.base_cap 0;
+        t.mask <- t.base_cap - 1
+      end
+      else Array.fill t.keys 0 (Array.length t.keys) empty_slot;
+      t.count <- 0;
+      t.used <- 0
     end
-    else Array.fill t.keys 0 (Array.length t.keys) empty_slot;
-    t.count <- 0;
-    t.used <- 0
 end

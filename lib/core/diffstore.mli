@@ -20,14 +20,18 @@
 type t
 
 (** [create ~expect ()] sizes the table for [expect] expected entries (the
-    fault-batch width); the table grows as needed beyond that. *)
+    fault-batch width); the table grows as needed beyond that. Growth
+    follows the live population: once tombstones left by [remove] fill the
+    table it is rehashed at the same capacity, and it doubles only when
+    live entries fill a quarter of it. *)
 val create : expect:int -> unit -> t
 
 val length : t -> int
 val is_empty : t -> bool
 val mem : t -> int -> bool
 
-(** Current slot-array capacity (exposed for the shrink-on-clear test). *)
+(** Current slot-array capacity (exposed for the shrink-on-clear and churn
+    tests). *)
 val capacity : t -> int
 
 (** [find t key ~default] — the stored payload, or [default] when absent. *)
@@ -42,10 +46,11 @@ val remove : t -> int -> unit
 (** Empty the table. When the slot array has grown past [shrink_factor]
     (16) times the creation-time expectation, it is reallocated back to
     that base capacity so a one-off giant batch does not pin its
-    high-water footprint. *)
+    high-water footprint. Clearing an already-clear table is O(1). *)
 val clear : t -> unit
 
-(** Slot-order iteration. The callback must not mutate the table. *)
+(** Slot-order iteration, O(capacity); an empty table returns at once. The
+    callback must not mutate the table. *)
 val iter : t -> (int -> int64 -> unit) -> unit
 
 val iter_keys : t -> (int -> unit) -> unit
@@ -59,6 +64,7 @@ module Counts : sig
 
   val create : expect:int -> unit -> t
   val length : t -> int
+  val capacity : t -> int
   val mem : t -> int -> bool
   val bump : t -> int -> int -> unit
   val iter_keys : t -> (int -> unit) -> unit

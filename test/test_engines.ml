@@ -120,6 +120,98 @@ let test_clock_stuck_at_1 () =
   let r = Engine.Concurrent.run g w faults in
   check bool_t "sa1 clock matches oracle" true (Fault.same_verdict oracle r)
 
+(* Multi-writer memory commit order: two processes (A, C) write
+   overlapping words of one RAM on the same clock, and a register-only
+   process (B) sits between them in process order. The clock net is
+   [clk ^ ph] with [ph] held at 0, so faults on [clk], [ph] and the net
+   itself drive the suppressed-edge and solo-edge paths (a stuck-at-1 [ph]
+   inverts the faulty clock: every good rising edge is suppressed and every
+   falling one becomes a solo edge of all three processes). Every site of
+   the design is faulted, which covers A's and C's address, data and
+   enable, and B's inputs. *)
+let multi_writer_design () =
+  let module B = Builder in
+  let open B.Ops in
+  let ctx = B.create "multi_writer" in
+  let clk = B.input ctx "clk" 1 in
+  let ph = B.input ctx "ph" 1 in
+  let a_addr = B.input ctx "a_addr" 2 in
+  let a_data = B.input ctx "a_data" 4 in
+  let a_en = B.input ctx "a_en" 1 in
+  let b_in = B.input ctx "b_in" 4 in
+  let c_addr = B.input ctx "c_addr" 2 in
+  let c_data = B.input ctx "c_data" 4 in
+  let c_en = B.input ctx "c_en" 1 in
+  let r_addr = B.input ctx "r_addr" 2 in
+  let gclk = B.wire ctx "gclk" 1 in
+  B.assign ctx gclk (clk ^: ph);
+  let ram = B.ram ctx "ram" ~width:4 ~size:4 in
+  let breg = B.reg ctx "breg" 4 in
+  B.always_ff ctx ~name:"writer_a" ~clock:gclk
+    [ B.when_ a_en [ B.write_mem ram a_addr a_data ] ];
+  B.always_ff ctx ~name:"reg_b" ~clock:gclk [ breg <-- (breg +: b_in) ];
+  B.always_ff ctx ~name:"writer_c" ~clock:gclk
+    [
+      B.when_ c_en
+        [ B.write_mem ram c_addr (c_data ^: B.read_mem ram c_addr) ];
+    ];
+  let o = B.output ctx "o" 4 in
+  B.assign ctx o (B.read_mem ram r_addr);
+  let ob = B.output ctx "ob" 4 in
+  B.assign ctx ob breg;
+  let d = B.finalize ctx in
+  let id = Design.find_signal d in
+  let w =
+    {
+      Workload.cycles = 80;
+      clock = id "clk";
+      drive =
+        Workload.random_drive ~seed:11L
+          ~inputs:
+            (List.map
+               (fun n -> (id n, Design.signal_width d (id n)))
+               [ "a_addr"; "a_data"; "a_en"; "b_in"; "c_addr"; "c_data";
+                 "c_en"; "r_addr" ])
+          ();
+    }
+  in
+  (d, w)
+
+let test_multi_writer_memory () =
+  let d, w = multi_writer_design () in
+  let g = Elaborate.build d in
+  let pid n =
+    match Array.find_opt (fun p -> p.Design.pname = n) d.Design.procs with
+    | Some p -> p.Design.pid
+    | None -> Alcotest.failf "no process %s" n
+  in
+  check bool_t "register-only process lies between the two writers" true
+    (pid "writer_a" < pid "reg_b" && pid "reg_b" < pid "writer_c");
+  let faults = Fault.generate ~seed:1L d in
+  let oracle = Baselines.Serial.ifsim g w faults in
+  let ndet = Fault.count_detected oracle in
+  check bool_t "oracle detects some but not all faults" true
+    (ndet > 0 && ndet < Array.length faults);
+  List.iter
+    (fun warmstart ->
+      List.iter
+        (fun e ->
+          let r = H.Campaign.run ~warmstart e g w faults in
+          let name =
+            Printf.sprintf "%s (%s)" (H.Campaign.engine_name e)
+              (if warmstart then "warm" else "cold")
+          in
+          check (Alcotest.array bool_t) (name ^ " detected")
+            oracle.Fault.detected r.Fault.detected;
+          check (Alcotest.array int_t)
+            (name ^ " detection cycles")
+            oracle.Fault.detection_cycle r.Fault.detection_cycle)
+        [
+          H.Campaign.Eraser; H.Campaign.Eraser_m; H.Campaign.Eraser_mm;
+          H.Campaign.Z01x_proxy;
+        ])
+    [ false; true ]
+
 let test_per_proc_stats () =
   List.iter
     (fun name ->
@@ -207,6 +299,8 @@ let suite =
       Alcotest.test_case "fake-event regression" `Quick test_fake_events;
       Alcotest.test_case "clock stuck-at-1 (solo edges)" `Quick
         test_clock_stuck_at_1;
+      Alcotest.test_case "multi-writer memory commit order (cold and warm)"
+        `Quick test_multi_writer_memory;
       Alcotest.test_case "per-proc stats consistency" `Quick
         test_per_proc_stats;
       Alcotest.test_case "mem-check ablation" `Quick test_mem_check_ablation;

@@ -1,8 +1,9 @@
 (* Differential property test: on randomly generated designs, every engine
-   produces the serial oracle's detected-fault set. This is the strongest
-   soundness check of the concurrent engine and of Algorithm 1 (an unsound
-   skip shows up as a verdict mismatch). The standalone fuzz harness in
-   examples/ runs the same property over thousands of seeds. *)
+   produces the serial oracle's detected-fault set and detection cycles
+   (DESIGN.md section 4). This is the strongest soundness check of the
+   concurrent engine and of Algorithm 1 (an unsound skip shows up as a
+   verdict or cycle mismatch). The standalone fuzz harness in examples/
+   runs the same property over thousands of seeds. *)
 open Faultsim
 module H = Harness
 
@@ -13,7 +14,10 @@ let engines_agree seed =
   let faults = s.H.Rand_design.faults in
   let oracle = Baselines.Serial.ifsim g w faults in
   List.for_all
-    (fun e -> Fault.same_verdict oracle (H.Campaign.run e g w faults))
+    (fun e ->
+      let r = H.Campaign.run e g w faults in
+      Fault.same_verdict oracle r
+      && oracle.Fault.detection_cycle = r.Fault.detection_cycle)
     [
       H.Campaign.Vfsim; H.Campaign.Eraser_mm; H.Campaign.Eraser_m;
       H.Campaign.Eraser;

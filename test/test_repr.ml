@@ -317,6 +317,54 @@ let test_diffstore_shrink_on_clear () =
   check int_t "moderate growth retained across clear" grown
     (Engine.Diffstore.capacity store)
 
+(* Capacity follows the live population, not the insert history: churning
+   many distinct keys through a table that never holds more than a few of
+   them at once must leave it no larger than that population needs (a
+   quarter-full table at most), and the tombstone rehashes must keep the
+   contents intact. *)
+let test_diffstore_capacity_after_churn () =
+  let store = Engine.Diffstore.create ~expect:16 () in
+  let base = Engine.Diffstore.capacity store in
+  for key = 0 to 99_999 do
+    Engine.Diffstore.set store key (Int64.of_int key);
+    Engine.Diffstore.remove store key
+  done;
+  check int_t "single-entry churn keeps the base capacity" base
+    (Engine.Diffstore.capacity store);
+  check int_t "single-entry churn leaves it empty" 0
+    (Engine.Diffstore.length store);
+  (* 1,200 keys, at most 64 live: key k is removed when k + 64 goes in *)
+  let live = 64 in
+  let churned = Engine.Diffstore.create ~expect:16 () in
+  let counts = Engine.Diffstore.Counts.create ~expect:16 () in
+  for key = 0 to 1199 do
+    if key >= live then begin
+      Engine.Diffstore.remove churned (key - live);
+      Engine.Diffstore.Counts.bump counts (key - live) (-1)
+    end;
+    Engine.Diffstore.set churned key (Int64.of_int (key * 7));
+    Engine.Diffstore.Counts.bump counts key 1
+  done;
+  check int_t "windowed churn length" live (Engine.Diffstore.length churned);
+  check int_t "windowed churn counts length" live
+    (Engine.Diffstore.Counts.length counts);
+  if Engine.Diffstore.capacity churned > 4 * live then
+    Alcotest.failf "diffstore grew to %d slots for %d live entries"
+      (Engine.Diffstore.capacity churned) live;
+  if Engine.Diffstore.Counts.capacity counts > 4 * live then
+    Alcotest.failf "counts store grew to %d slots for %d live entries"
+      (Engine.Diffstore.Counts.capacity counts) live;
+  for key = 1200 - live to 1199 do
+    if
+      Engine.Diffstore.find churned key ~default:(-1L)
+      <> Int64.of_int (key * 7)
+    then Alcotest.failf "key %d lost across tombstone rehashes" key;
+    if not (Engine.Diffstore.Counts.mem counts key) then
+      Alcotest.failf "counted key %d lost across tombstone rehashes" key
+  done;
+  check bool_t "removed key stays removed" false
+    (Engine.Diffstore.mem churned (1199 - live))
+
 let suite =
   [
     Alcotest.test_case "flat bytecode steady state allocates nothing (sha256)"
@@ -339,4 +387,6 @@ let suite =
       test_counts_model;
     Alcotest.test_case "diffstore clear shrinks a high-water slot array"
       `Quick test_diffstore_shrink_on_clear;
+    Alcotest.test_case "diffstore capacity follows live entries under churn"
+      `Quick test_diffstore_capacity_after_churn;
   ]
