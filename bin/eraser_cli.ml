@@ -1021,9 +1021,6 @@ let run_verilog_cmd =
     | exception Verilog_parser.Parse_error msg ->
         Format.eprintf "parse error: %s@." msg;
         1
-    | exception Verilog_lexer.Lex_error msg ->
-        Format.eprintf "lex error: %s@." msg;
-        1
     | design -> (
         match Design.find_signal design clock with
         | exception Not_found ->

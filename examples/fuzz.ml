@@ -1,5 +1,12 @@
-(* Differential fuzz harness: all engines must produce the oracle's
-   detected-fault set on random designs. *)
+(* Differential fuzz harness: on random designs, every engine must produce
+   the serial oracle's detected-fault set and detection cycles. Each
+   design's stuck-at list is extended with SEUs, and the concurrent engine
+   runs both cold and warm-started from a captured good trace.
+
+     fuzz.exe [SEEDS] [FIRST_SEED]
+
+   checks SEEDS designs (default 100) starting at FIRST_SEED (default 1)
+   and exits 1 on any mismatch. *)
 open Faultsim
 
 let () =
@@ -10,12 +17,24 @@ let () =
     let s = Harness.Rand_design.generate ~seed:(Int64.of_int seed) () in
     let g = s.Harness.Rand_design.graph in
     let w = s.Harness.Rand_design.workload in
-    let faults = s.Harness.Rand_design.faults in
+    let seus =
+      Fault.generate_transients ~seed:(Int64.of_int seed) ~count:40
+        ~max_cycle:w.Workload.cycles s.Harness.Rand_design.design
+    in
+    let faults =
+      Array.mapi
+        (fun i f -> { f with Fault.fid = i })
+        (Array.append s.Harness.Rand_design.faults seus)
+    in
     let oracle = Baselines.Serial.ifsim g w faults in
     let check name r =
       if not (Fault.same_verdict oracle r) then begin
         incr failures;
-        Printf.printf "seed %d: %s MISMATCH\n%!" seed name
+        Printf.printf "seed %d: %s verdict MISMATCH\n%!" seed name
+      end
+      else if oracle.Fault.detection_cycle <> r.Fault.detection_cycle then begin
+        incr failures;
+        Printf.printf "seed %d: %s detection-cycle MISMATCH\n%!" seed name
       end
     in
     check "vfsim" (Baselines.Serial.vfsim g w faults);
@@ -30,6 +49,12 @@ let () =
         Engine.Concurrent.Explicit_only;
         Engine.Concurrent.Full;
       ];
+    List.iter
+      (fun e ->
+        check
+          (Harness.Campaign.engine_name e ^ " warm")
+          (Harness.Campaign.run ~warmstart:true e g w faults))
+      [ Harness.Campaign.Eraser_m; Harness.Campaign.Eraser ];
     if seed mod 100 = 0 then Printf.printf "... %d seeds done\n%!" seed
   done;
   Printf.printf "fuzz: %d seeds, %d failures\n" n !failures;

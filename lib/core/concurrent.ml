@@ -152,6 +152,10 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
   let detected = Array.make nfaults false in
   let detection_cycle = Array.make nfaults (-1) in
   let n_live = ref nfaults in
+  (* Per fault: how many signal and memory diff entries it holds. A live
+     fault with none is the good network (DESIGN.md, "Retiring converged
+     transients"). *)
+  let ndiff = Array.make nfaults 0 in
   (* Diff stores are sized from the fault-batch width: the per-site tables
      (one per signal / memory) expect a fraction of the batch and grow on
      demand; the per-memory fault index and per-clock snapshots are bounded
@@ -242,12 +246,19 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
     if v = good then begin
       if Diffstore.mem tbl f then begin
         Diffstore.remove tbl f;
+        ndiff.(f) <- ndiff.(f) - 1;
         mark_fault_fanout id
       end
     end
-    else if Diffstore.find tbl f ~default:good <> v then begin
-      Diffstore.set tbl f v;
-      mark_fault_fanout id
+    else begin
+      (* a live fault's stored diff never equals the good value, so
+         finding the default means the entry is absent *)
+      let cur = Diffstore.find tbl f ~default:good in
+      if cur <> v then begin
+        if cur = good then ndiff.(f) <- ndiff.(f) + 1;
+        Diffstore.set tbl f v;
+        mark_fault_fanout id
+      end
     end
   in
   let fault_value f id = Diffstore.find diffs.(id) f ~default:(State.get st id) in
@@ -264,7 +275,10 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
       ~default:(State.get_mem st m a)
   in
   let mem_visible f m = Diffstore.Counts.mem mem_fault_words.(m) f in
-  let mem_words_bump m f delta = Diffstore.Counts.bump mem_fault_words.(m) f delta in
+  let mem_words_bump m f delta =
+    ndiff.(f) <- ndiff.(f) + delta;
+    Diffstore.Counts.bump mem_fault_words.(m) f delta
+  in
   let set_mem_diff m f a v =
     let key = mem_key m f a in
     let tbl = mem_diffs.(m) in
@@ -290,6 +304,13 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
   in
   (* ---- good writes (with fault-site injection and stale-diff sweep) ---- *)
   let scratch_dead = Ivec.create ~capacity:16 () in
+  let remove_dead tbl =
+    Ivec.iter
+      (fun f ->
+        Diffstore.remove tbl f;
+        ndiff.(f) <- ndiff.(f) - 1)
+      scratch_dead
+  in
   let write_good id v =
     if State.get st id <> v then begin
       State.set st id v;
@@ -298,7 +319,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
         Ivec.clear scratch_dead;
         Diffstore.iter tbl (fun f fv ->
             if (not live.(f)) || fv = v then Ivec.push scratch_dead f);
-        Ivec.iter (fun f -> Diffstore.remove tbl f) scratch_dead
+        remove_dead tbl
       end;
       mark_good_fanout id
     end;
@@ -479,7 +500,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
       Ivec.clear scratch_dead;
       Diffstore.iter_keys tbl (fun f ->
           if live.(f) then add f else Ivec.push scratch_dead f);
-      Ivec.iter (fun f -> Diffstore.remove tbl f) scratch_dead
+      remove_dead tbl
     end
   in
   let scan_mem_faults add m =
@@ -1029,8 +1050,35 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
       end
     done
   in
+  (* ---- convergence ----
+     Transients that have fired and are still live. At a cycle boundary a
+     fault's diff entries are its whole faulty state (DESIGN.md, "Retiring
+     converged transients"), and a fired transient has no forced site, so
+     one holding no diff is the good network for every later cycle: it
+     retires undetected. Stuck-at faults never enter this set. *)
+  let fired = ref (Ivec.create ~capacity:16 ()) in
+  let spare = ref (Ivec.create ~capacity:16 ()) in
+  let retired = ref 0 in
+  let retire_converged () =
+    let keep = !spare in
+    Ivec.clear keep;
+    Ivec.iter
+      (fun f ->
+        if live.(f) then
+          if ndiff.(f) = 0 then begin
+            live.(f) <- false;
+            decr n_live;
+            incr retired
+          end
+          else Ivec.push keep f)
+      !fired;
+    spare := !fired;
+    fired := keep
+  in
   (* ---- observation ---- *)
+  let cycles_stepped = ref 0 in
   let observe cycle =
+    incr cycles_stepped;
     (match Atomic.get chaos_corrupt_diff with
     | None -> ()
     | Some hook -> (
@@ -1065,6 +1113,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
             scratch_dead
         end)
       g.outputs;
+    if not (Ivec.is_empty !fired) then retire_converged ();
     !n_live > 0
   in
   (* ---- initialisation ---- *)
@@ -1146,7 +1195,8 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
             if live.(f.fid) then begin
               let cur = fault_value f.fid f.signal in
               set_diff f.signal f.fid
-                (Bitops.force_bit cur f.bit (not (Bitops.bit cur f.bit)))
+                (Bitops.force_bit cur f.bit (not (Bitops.bit cur f.bit)));
+              Ivec.push !fired f.fid
             end)
           l
   in
@@ -1240,6 +1290,8 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
     Obs.Metrics.add "engine.bn_skip_implicit" stats.Stats.bn_skipped_implicit;
     Obs.Metrics.add "engine.rtl_good_eval" stats.Stats.rtl_good_eval;
     Obs.Metrics.add "engine.rtl_fault_eval" stats.Stats.rtl_fault_eval;
+    Obs.Metrics.add "engine.transients_retired" !retired;
+    Obs.Metrics.add "engine.cycles_stepped" !cycles_stepped;
     Array.iter
       (fun (r : Stats.proc_row) ->
         Obs.Metrics.add ("engine.proc." ^ r.pr_name ^ ".exec") r.pr_exec;

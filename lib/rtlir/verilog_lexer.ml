@@ -25,9 +25,16 @@ exception Lex_error of string
 
 let lex_error fmt = Format.kasprintf (fun s -> raise (Lex_error s)) fmt
 
-type t = { src : string; mutable pos : int; mutable peeked : token option }
+(* [tok_start] is the offset of the last token lexed (the peeked one, if
+   any), which is where a lexical or syntax error is reported. *)
+type t = {
+  src : string;
+  mutable pos : int;
+  mutable tok_start : int;
+  mutable peeked : token option;
+}
 
-let create src = { src; pos = 0; peeked = None }
+let create src = { src; pos = 0; tok_start = 0; peeked = None }
 
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '$'
@@ -73,6 +80,11 @@ let read_while t pred =
   done;
   String.sub t.src start (t.pos - start)
 
+let decimal digits =
+  match int_of_string_opt (String.concat "" (String.split_on_char '_' digits)) with
+  | Some n -> n
+  | None -> lex_error "number %s out of range" digits
+
 let digits_value ~base s =
   let v = ref 0L in
   String.iter
@@ -97,6 +109,7 @@ let next t =
       tok
   | None ->
       skip_ws t;
+      t.tok_start <- t.pos;
       let n = String.length t.src in
       if t.pos >= n then EOF
       else begin
@@ -108,6 +121,7 @@ let next t =
           if t.pos < n && t.src.[t.pos] = '\'' then begin
             (* sized literal: <width>'<base><digits> *)
             t.pos <- t.pos + 1;
+            if t.pos >= n then lex_error "literal without a base";
             let base =
               match t.src.[t.pos] with
               | 'h' | 'H' -> 16
@@ -118,13 +132,9 @@ let next t =
             in
             t.pos <- t.pos + 1;
             let value_digits = read_while t (fun c -> is_hex_digit c || c = '_') in
-            SIZED
-              (int_of_string (String.concat "" (String.split_on_char '_' digits)),
-               digits_value ~base value_digits)
+            SIZED (decimal digits, digits_value ~base value_digits)
           end
-          else
-            NUMBER
-              (int_of_string (String.concat "" (String.split_on_char '_' digits)))
+          else NUMBER (decimal digits)
         end
         else begin
           let two =
@@ -162,7 +172,7 @@ let next t =
             ->
               t.pos <- t.pos + 1;
               OP (String.make 1 c)
-          | _ -> lex_error "unexpected character %C at offset %d" c t.pos
+          | _ -> lex_error "unexpected character %C" c
         end
       end
 

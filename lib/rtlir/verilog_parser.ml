@@ -600,7 +600,11 @@ and sig_id env id =
   | None -> parse_error "unknown identifier %s" id
 
 let elab_assign env target e =
-  let w = Hashtbl.find env.width_of target in
+  let w =
+    match Hashtbl.find_opt env.width_of target with
+    | Some w -> w
+    | None -> parse_error "assignment to unknown identifier %s" target
+  in
   let ee, we = elab env e w in
   pad_to w ee we
 
@@ -673,9 +677,19 @@ let rec vstmt_writes s acc =
   | SBlocking (LId id, _) | SNonblock (LId id, _) -> id :: acc
   | SBlocking (LIndex _, _) | SNonblock (LIndex _, _) -> acc
 
-let parse src =
-  let p = { lx = L.create src } in
-  let m = parse_module p in
+(* Byte offset [pos] of [src] as "line L, column C", both from 1. *)
+let position src pos =
+  let pos = min pos (String.length src) in
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to pos - 1 do
+    if src.[i] = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  Printf.sprintf "line %d, column %d" !line (pos - !bol + 1)
+
+let elaborate m =
   (* classify: regs written by always @* become IR wires *)
   let comb_written = Hashtbl.create 16 in
   List.iter
@@ -812,3 +826,13 @@ let parse src =
   (try Design.validate d
    with Design.Invalid msg -> parse_error "invalid design: %s" msg);
   d
+
+let parse src =
+  let p = { lx = L.create src } in
+  let m =
+    try parse_module p
+    with Parse_error msg | L.Lex_error msg | Bits.Width_error msg ->
+      parse_error "%s: %s" (position src p.lx.L.tok_start) msg
+  in
+  try elaborate m
+  with Bits.Width_error msg -> parse_error "unsupported width: %s" msg

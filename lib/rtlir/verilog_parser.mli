@@ -21,5 +21,9 @@
 
 exception Parse_error of string
 
-(** Parse and elaborate Verilog source into a validated design. *)
+(** Parse and elaborate Verilog source into a validated design. Any
+    malformed input, lexical errors and unsupported widths included,
+    raises {!Parse_error} and nothing else. Lexical and syntax errors name
+    their position as "line L, column C: ..."; elaboration errors (unknown
+    names, widths, multiple drivers) name the offending identifier. *)
 val parse : string -> Design.t

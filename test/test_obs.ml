@@ -239,6 +239,62 @@ let test_heartbeat_shape_unchanged () =
         "progress line is denominated in faults/s" true
         (has_substr line "faults/s")
 
+(* The engine's convergence counters: [engine.transients_retired] counts
+   fired SEUs retired for holding no diff, [engine.cycles_stepped] the
+   cycles a run actually stepped. A register reloaded every cycle masks
+   any flip at the next edge. *)
+let test_engine_convergence_counters () =
+  let module B = Rtlir.Builder in
+  let open B.Ops in
+  let ctx = B.create "reload" in
+  let clk = B.input ctx "clk" 1 in
+  let din = B.input ctx "din" 4 in
+  let m = B.reg ctx "m" 4 in
+  B.always_ff ctx ~clock:clk [ m <-- din ];
+  let o = B.output ctx "o" 4 in
+  B.assign ctx o m;
+  let d = B.finalize ctx in
+  let g = Rtlir.Elaborate.build d in
+  let w =
+    Circuits.Bench_circuit.random_workload ~seed:5L d ~cycles:20
+  in
+  let msig = Rtlir.Design.find_signal d "m" in
+  let fault fid stuck = { Faultsim.Fault.fid; signal = msig; bit = 1; stuck } in
+  let counters faults =
+    fresh ();
+    Obs.Metrics.enable ();
+    let r = Engine.Concurrent.run g w faults in
+    Obs.Metrics.disable ();
+    let get n = Option.value ~default:0 (Obs.Metrics.counter_value n) in
+    let c =
+      (get "engine.runs", get "engine.transients_retired",
+       get "engine.cycles_stepped")
+    in
+    Obs.Metrics.reset ();
+    (r, c)
+  in
+  let r, (runs, retired, stepped) =
+    counters
+      [| fault 0 (Faultsim.Fault.Flip_at 3); fault 1 (Faultsim.Fault.Flip_at 6) |]
+  in
+  check int_t "one run" 1 runs;
+  check bool_t "masked flips undetected" true
+    (not (Array.exists Fun.id r.Faultsim.Fault.detected));
+  check int_t "both flips retired" 2 retired;
+  check int_t "stepped through the last flip's cycle only" 7 stepped;
+  let _, (_, retired, stepped) =
+    counters [| fault 0 (Faultsim.Fault.Flip_at 25) |]
+  in
+  check int_t "a flip past the stimulus never fires" 0 retired;
+  check int_t "so every cycle is stepped" 20 stepped;
+  let r, (_, retired, stepped) =
+    counters [| fault 0 Faultsim.Fault.Stuck_at_0 |]
+  in
+  check int_t "stuck-at faults never retire" 0 retired;
+  check int_t "stepped until detection"
+    (r.Faultsim.Fault.detection_cycle.(0) + 1)
+    stepped
+
 let suite =
   [
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
@@ -254,4 +310,6 @@ let suite =
     Alcotest.test_case "heartbeat pacing" `Quick test_heartbeat;
     Alcotest.test_case "journal heartbeat record shape unchanged" `Quick
       test_heartbeat_shape_unchanged;
+    Alcotest.test_case "engine convergence counters" `Quick
+      test_engine_convergence_counters;
   ]

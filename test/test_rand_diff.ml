@@ -2,8 +2,10 @@
    produces the serial oracle's detected-fault set and detection cycles
    (DESIGN.md section 4). This is the strongest soundness check of the
    concurrent engine and of Algorithm 1 (an unsound skip shows up as a
-   verdict or cycle mismatch). The standalone fuzz harness in examples/
-   runs the same property over thousands of seeds. *)
+   verdict or cycle mismatch). Each design's stuck-at list is extended
+   with SEUs, so converged transients retire inside mixed batches, and
+   Eraser also runs warm-started. The standalone fuzz harness in examples/
+   runs the same property over many more seeds. *)
 open Faultsim
 module H = Harness
 
@@ -11,16 +13,25 @@ let engines_agree seed =
   let s = H.Rand_design.generate ~cycles:100 ~max_faults:40 ~seed () in
   let g = s.H.Rand_design.graph in
   let w = s.H.Rand_design.workload in
-  let faults = s.H.Rand_design.faults in
+  let seus =
+    Fault.generate_transients ~seed ~count:10 ~max_cycle:w.Workload.cycles
+      s.H.Rand_design.design
+  in
+  let faults =
+    Array.mapi
+      (fun i f -> { f with Fault.fid = i })
+      (Array.append s.H.Rand_design.faults seus)
+  in
   let oracle = Baselines.Serial.ifsim g w faults in
   List.for_all
-    (fun e ->
-      let r = H.Campaign.run e g w faults in
+    (fun (e, warmstart) ->
+      let r = H.Campaign.run ~warmstart e g w faults in
       Fault.same_verdict oracle r
       && oracle.Fault.detection_cycle = r.Fault.detection_cycle)
     [
-      H.Campaign.Vfsim; H.Campaign.Eraser_mm; H.Campaign.Eraser_m;
-      H.Campaign.Eraser;
+      (H.Campaign.Vfsim, false); (H.Campaign.Eraser_mm, false);
+      (H.Campaign.Eraser_m, false); (H.Campaign.Eraser, false);
+      (H.Campaign.Eraser, true);
     ]
 
 let qcheck =

@@ -15,7 +15,7 @@ let candidates name =
     Filename.concat "examples/sample_designs" name;
   ]
 
-let load name =
+let read_source name =
   let path =
     match List.find_opt Sys.file_exists (candidates name) with
     | Some p -> p
@@ -24,7 +24,11 @@ let load name =
   let ic = open_in path in
   let src = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  Verilog_parser.parse src
+  src
+
+let load name = Verilog_parser.parse (read_source name)
+
+let samples = [ "gray_counter.v"; "traffic_fsm.v"; "lfsr_checksum.v" ]
 
 let campaign_case file =
   Alcotest.test_case (file ^ " campaign") `Quick (fun () ->
@@ -80,7 +84,47 @@ let test_json () =
   check bool_t "per_proc table present" true
     (H.Jsonl.get_list "per_proc" doc <> [])
 
+(* Untrusted source fails typed: every mutant of a sample design (one
+   byte replaced, a range deleted, or the text truncated) either parses
+   or raises [Verilog_parser.Parse_error], never any other exception. *)
+let mutants_per_sample = 1500
+
+let mutate rng src =
+  let n = String.length src in
+  match Random.State.int rng 3 with
+  | 0 ->
+      let i = Random.State.int rng n in
+      let c = Char.chr (Random.State.int rng 256) in
+      ( Printf.sprintf "byte %d := %C" i c,
+        String.mapi (fun j x -> if j = i then c else x) src )
+  | 1 ->
+      let i = Random.State.int rng n in
+      let len = 1 + Random.State.int rng (min 40 (n - i)) in
+      ( Printf.sprintf "delete %d..%d" i (i + len - 1),
+        String.sub src 0 i ^ String.sub src (i + len) (n - i - len) )
+  | _ ->
+      let i = Random.State.int rng n in
+      (Printf.sprintf "truncate at %d" i, String.sub src 0 i)
+
+let test_mutants_fail_typed () =
+  let rng = Random.State.make [| 7 |] in
+  List.iter
+    (fun name ->
+      let src = read_source name in
+      for _ = 1 to mutants_per_sample do
+        let what, text = mutate rng src in
+        match Verilog_parser.parse text with
+        | _ | (exception Verilog_parser.Parse_error _) -> ()
+        | exception e ->
+            Alcotest.failf "%s, %s: parse raised %s" name what
+              (Printexc.to_string e)
+      done)
+    samples
+
 let suite =
-  List.map campaign_case
-    [ "gray_counter.v"; "traffic_fsm.v"; "lfsr_checksum.v" ]
-  @ [ Alcotest.test_case "json report" `Quick test_json ]
+  List.map campaign_case samples
+  @ [
+      Alcotest.test_case "json report" `Quick test_json;
+      Alcotest.test_case "mutated sources fail typed" `Quick
+        test_mutants_fail_typed;
+    ]

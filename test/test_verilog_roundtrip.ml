@@ -154,7 +154,6 @@ let test_parse_errors () =
   let reject src =
     match Verilog_parser.parse src with
     | exception Verilog_parser.Parse_error _ -> ()
-    | exception Verilog_lexer.Lex_error _ -> ()
     | _ -> Alcotest.failf "accepted bad source: %s" src
   in
   reject "module m(; endmodule";
@@ -162,7 +161,17 @@ let test_parse_errors () =
   reject "module m(); wire w; assign w = unknown_name; endmodule";
   reject
     "module m(); input clk; reg q; always @(posedge clk) q = 1'b1; endmodule";
-  reject "module m(); wire w; assign w = 1'b0; assign w = 1'b1; endmodule"
+  reject "module m(); wire w; assign w = 1'b0; assign w = 1'b1; endmodule";
+  (* lexical errors and out-of-range literals are parse errors too *)
+  reject "module m(); wire w; assign w = 4'q1; endmodule";
+  reject "module m(); wire w; assign w = 1'";
+  reject "module m(); wire w; assign w = 99999999999999999999999; endmodule";
+  reject "module m(); wire w; assign v = 1'b1; endmodule";
+  (match Verilog_parser.parse "module m();\n  wire w; # \nendmodule" with
+  | exception Verilog_parser.Parse_error msg ->
+      check Alcotest.string "lexical error carries its position"
+        "line 2, column 11: unexpected character '#'" msg
+  | _ -> Alcotest.fail "accepted a stray '#'")
 
 let suite =
   List.map circuit_case Circuits.all
