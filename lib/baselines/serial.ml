@@ -23,6 +23,21 @@ let same_outputs a b =
   let rec scan i = i >= n || (Bits.equal a.(i) b.(i) && scan (i + 1)) in
   Array.length b = n && scan 0
 
+let faulty_sim ~config g (f : Fault.t) =
+  let force =
+    match f.stuck with
+    | Fault.Stuck_at_0 -> Some (f.signal, f.bit, false)
+    | Fault.Stuck_at_1 -> Some (f.signal, f.bit, true)
+    | Fault.Flip_at _ -> None
+  in
+  let sim = Simulator.create ~config ?force g in
+  let on_cycle_start cyc =
+    match f.stuck with
+    | Fault.Flip_at at when at = cyc -> Simulator.flip_bit sim f.signal f.bit
+    | _ -> ()
+  in
+  (sim, on_cycle_start)
+
 let run ~config g (w : Workload.t) faults =
   let t0 = Stats.now () in
   let w =
@@ -35,18 +50,7 @@ let run ~config g (w : Workload.t) faults =
   let detection_cycle = Array.make (Array.length faults) (-1) in
   Array.iter
     (fun (f : Fault.t) ->
-      let force =
-        match f.stuck with
-        | Fault.Stuck_at_0 -> Some (f.signal, f.bit, false)
-        | Fault.Stuck_at_1 -> Some (f.signal, f.bit, true)
-        | Fault.Flip_at _ -> None
-      in
-      let sim = Simulator.create ~config ?force g in
-      let on_cycle_start cyc =
-        match f.stuck with
-        | Fault.Flip_at at when at = cyc -> Simulator.flip_bit sim f.signal f.bit
-        | _ -> ()
-      in
+      let sim, on_cycle_start = faulty_sim ~config g f in
       Workload.run ~on_cycle_start w
         ~set_input:(Simulator.set_input sim)
         ~step:(fun () -> Simulator.step sim)
@@ -65,25 +69,11 @@ let run ~config g (w : Workload.t) faults =
   stats.Stats.total_seconds <- wall;
   Fault.make_result ~detected ~detection_cycle ~stats ~wall_time:wall ()
 
-(* Both baselines pin the boxed representation: they model the published
-   tools' per-value cost, and the representation benchmark compares the flat
-   engine against them. *)
-let ifsim g w faults =
-  run
-    ~config:
-      {
-        Simulator.eval = Simulator.Bytecode;
-        scheduler = Simulator.Fifo;
-        repr = Simulator.Boxed;
-      }
-    g w faults
+let ifsim_config =
+  { Simulator.eval = Simulator.Bytecode; scheduler = Simulator.Fifo }
 
-let vfsim g w faults =
-  run
-    ~config:
-      {
-        Simulator.eval = Simulator.Closures;
-        scheduler = Simulator.Cycle_based;
-        repr = Simulator.Boxed;
-      }
-    g w faults
+let vfsim_config =
+  { Simulator.eval = Simulator.Closures; scheduler = Simulator.Cycle_based }
+
+let ifsim g w faults = run ~config:ifsim_config g w faults
+let vfsim g w faults = run ~config:vfsim_config g w faults

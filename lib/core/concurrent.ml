@@ -12,7 +12,6 @@ let mode_name = function
 
 type config = {
   mode : mode;
-  defer_edge_eval : bool;
   instrument : bool;
   exact_mem_check : bool;
   corrupt_verdict : int option;
@@ -21,7 +20,6 @@ type config = {
 let default_config =
   {
     mode = Full;
-    defer_edge_eval = true;
     instrument = false;
     exact_mem_check = true;
     corrupt_verdict = None;
@@ -144,8 +142,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
   let sig_width i = d.Design.signals.(i).Design.width in
   let mem_width m = d.Design.mems.(m).Design.data_width in
   let mem_size m = d.mems.(m).size in
-  (* ---- good state: flat int64 arrays, shared representation with the
-     serial simulator's flat backend ---- *)
+  (* ---- good state: flat int64 arrays (Sim.State) ---- *)
   let st = State.create d in
   (* ---- fault bookkeeping ---- *)
   let live = Array.make nfaults true in
@@ -844,31 +841,29 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
                 end
               end)
             g.ff_of_clock.(c);
-        if config.defer_edge_eval then begin
-          (* per-fault edge divergence for faults with a diff on this clock
-             now or at the previous slot *)
-          begin_set ();
-          add_sig_faults c;
-          Diffstore.iter_keys prev_clock_diff.(ci) (fun f ->
-              if live.(f) then add_fault f);
-          Ivec.iter
-            (fun f ->
-              let old_f =
-                Diffstore.find prev_clock_diff.(ci) f ~default:old_g
-              in
-              let new_f = fault_value f c in
-              List.iter
-                (fun (pid, edge) ->
-                  let gf = edge_fired edge ~old_b:old_g ~new_b:new_g in
-                  let ff = edge_fired edge ~old_b:old_f ~new_b:new_f in
-                  if gf && not ff then begin
-                    Diffstore.Counts.bump suppressed (pair pid f) 1;
-                    n_suppressed.(pid) <- n_suppressed.(pid) + 1
-                  end
-                  else if (not gf) && ff then Ivec.push solo (pair pid f))
-                g.ff_of_clock.(c))
-            fset
-        end;
+        (* per-fault edge divergence for faults with a diff on this clock
+           now or at the previous slot *)
+        begin_set ();
+        add_sig_faults c;
+        Diffstore.iter_keys prev_clock_diff.(ci) (fun f ->
+            if live.(f) then add_fault f);
+        Ivec.iter
+          (fun f ->
+            let old_f =
+              Diffstore.find prev_clock_diff.(ci) f ~default:old_g
+            in
+            let new_f = fault_value f c in
+            List.iter
+              (fun (pid, edge) ->
+                let gf = edge_fired edge ~old_b:old_g ~new_b:new_g in
+                let ff = edge_fired edge ~old_b:old_f ~new_b:new_f in
+                if gf && not ff then begin
+                  Diffstore.Counts.bump suppressed (pair pid f) 1;
+                  n_suppressed.(pid) <- n_suppressed.(pid) + 1
+                end
+                else if (not gf) && ff then Ivec.push solo (pair pid f))
+              g.ff_of_clock.(c))
+          fset;
         prev_clock_good.(ci) <- new_g;
         Diffstore.clear prev_clock_diff.(ci);
         Diffstore.iter diffs.(c) (fun f v ->

@@ -20,12 +20,10 @@
 
     Skipped and path-diverged fault copies are reconciled at the
     nonblocking-commit phase so the diff store stays exact. Clock-cone
-    faults are tracked through per-fault edge detection; with
-    [defer_edge_eval] (the paper's fake-event fix) edge evaluation is
-    postponed until the combinational settle completes, and the faulty edge
-    is derived from the fault's own clock view. Disabling it reproduces the
-    premature-activation bug the paper describes (fault copies blindly
-    follow good edges), for the regression test. *)
+    faults are tracked through per-fault edge detection: edge evaluation is
+    postponed until the combinational settle completes (the paper's
+    fake-event fix), and the faulty edge is derived from the fault's own
+    clock view rather than blindly following the good edge. *)
 
 open Rtlir
 open Faultsim
@@ -36,7 +34,6 @@ val mode_name : mode -> string
 
 type config = {
   mode : mode;
-  defer_edge_eval : bool;
   instrument : bool;
   exact_mem_check : bool;
       (** per-word memory visibility in the Algorithm 1 walk (the default);

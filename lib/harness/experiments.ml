@@ -126,267 +126,6 @@ let mem_ablation ~scale =
       })
     mem_ablation_names
 
-type resilience_row = {
-  res_name : string;
-  res_batches : int;
-  res_cov_monolithic : float;
-  res_cov_batched : float;
-  res_cov_resumed : float;
-  res_divergences : int;
-  res_quarantine_ok : bool;
-}
-
-let resilience_names = [ "alu"; "apb" ]
-
-(* Simulate a mid-campaign crash: drop the journal's final record. *)
-let drop_last_line path =
-  let ic = open_in_bin path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  let kept = List.rev (match !lines with _ :: tl -> tl | [] -> []) in
-  let oc = open_out_bin path in
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    kept;
-  close_out oc
-
-let resilience ~scale =
-  List.map
-    (fun name ->
-      let c = Circuits.find name in
-      let _, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
-      let mono = Campaign.run Campaign.Eraser g w faults in
-      let journal = Filename.temp_file "eraser_resilience" ".jsonl" in
-      let cfg =
-        {
-          Resilient.default_config with
-          batch_size = max 1 (Array.length faults / 4);
-          journal = Some journal;
-        }
-      in
-      let cold = Resilient.run ~config:cfg g w faults in
-      drop_last_line journal;
-      let resumed =
-        Resilient.run ~config:{ cfg with Resilient.resume = true } g w faults
-      in
-      Sys.remove journal;
-      (* inject an engine bug; the online oracle must quarantine it *)
-      let injected =
-        Resilient.run
-          ~config:
-            {
-              cfg with
-              Resilient.journal = None;
-              oracle_sample = 1.0;
-              inject_divergence = Some 0;
-            }
-          g w faults
-      in
-      {
-        res_name = c.paper_name;
-        res_batches = cold.Resilient.batches_total;
-        res_cov_monolithic = mono.Fault.coverage_pct;
-        res_cov_batched = cold.Resilient.result.Fault.coverage_pct;
-        res_cov_resumed = resumed.Resilient.result.Fault.coverage_pct;
-        res_divergences = List.length injected.Resilient.divergences;
-        res_quarantine_ok =
-          injected.Resilient.divergences <> []
-          && Fault.same_verdict injected.Resilient.result mono;
-      })
-    resilience_names
-
-type scaling_point = {
-  sp_jobs : int;
-  sp_wall : float;
-  sp_faults_per_sec : float;
-  sp_speedup : float;  (* vs the first (jobs = 1) point of the same row *)
-  sp_stats : Stats.t;
-}
-
-type scaling_row = {
-  sc_name : string;
-  sc_faults : int;
-  sc_cycles : int;
-  sc_points : scaling_point list;
-}
-
-(* Multicore scaling sweep: the same resilient campaign at several worker
-   counts. The batch decomposition (and therefore every verdict and
-   counter) is fixed by the fault count alone — only wall time responds to
-   [jobs] — so the sweep isolates the parallel speedup. *)
-let scaling ?(jobs = [ 1; 2; 4; 8 ]) ~scale () =
-  List.map
-    (fun (c : Circuits.Bench_circuit.t) ->
-      let _, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
-      let n = Array.length faults in
-      let base_wall = ref 0.0 in
-      let points =
-        List.map
-          (fun j ->
-            let config =
-              {
-                Resilient.default_config with
-                Resilient.jobs = j;
-                batch_size = max 1 (n / 16);
-              }
-            in
-            let s = Resilient.run ~config g w faults in
-            let wall = s.Resilient.result.Fault.wall_time in
-            if !base_wall = 0.0 then base_wall := wall;
-            {
-              sp_jobs = j;
-              sp_wall = wall;
-              sp_faults_per_sec =
-                (if wall > 0.0 then float_of_int n /. wall else 0.0);
-              sp_speedup = (if wall > 0.0 then !base_wall /. wall else 1.0);
-              sp_stats = s.Resilient.result.Fault.stats;
-            })
-          jobs
-      in
-      {
-        sc_name = c.paper_name;
-        sc_faults = n;
-        sc_cycles = w.Workload.cycles;
-        sc_points = points;
-      })
-    Circuits.all
-
-let scaling_json ~scale rows =
-  let stats_json (s : Stats.t) =
-    Jsonl.Obj
-      [
-        ("bn_good", Jsonl.Int s.Stats.bn_good);
-        ("bn_fault_exec", Jsonl.Int s.Stats.bn_fault_exec);
-        ("bn_skipped_explicit", Jsonl.Int s.Stats.bn_skipped_explicit);
-        ("bn_skipped_implicit", Jsonl.Int s.Stats.bn_skipped_implicit);
-        ("rtl_good_eval", Jsonl.Int s.Stats.rtl_good_eval);
-        ("rtl_fault_eval", Jsonl.Int s.Stats.rtl_fault_eval);
-        ("good_cycles_skipped", Jsonl.Int s.Stats.good_cycles_skipped);
-        ("goodtrace_captures", Jsonl.Int s.Stats.goodtrace_captures);
-      ]
-  in
-  let point_json p =
-    Jsonl.Obj
-      [
-        ("jobs", Jsonl.Int p.sp_jobs);
-        ("wall_s", Jsonl.Float p.sp_wall);
-        ("faults_per_sec", Jsonl.Float p.sp_faults_per_sec);
-        ("speedup", Jsonl.Float p.sp_speedup);
-        ("stats", stats_json p.sp_stats);
-      ]
-  in
-  let row_json r =
-    Jsonl.Obj
-      [
-        ("name", Jsonl.String r.sc_name);
-        ("faults", Jsonl.Int r.sc_faults);
-        ("cycles", Jsonl.Int r.sc_cycles);
-        ("points", Jsonl.List (List.map point_json r.sc_points));
-      ]
-  in
-  Jsonl.Obj
-    [
-      ("experiment", Jsonl.String "scaling");
-      ("scale", Jsonl.Float scale);
-      ("circuits", Jsonl.List (List.map row_json rows));
-    ]
-
-type warmstart_row = {
-  ws_name : string;
-  ws_faults : int;
-  ws_cycles : int;
-  ws_batches : int;
-  ws_cold_wall : float;
-  ws_warm_wall : float;
-  ws_speedup : float;
-  ws_cold_bn_good : int;
-  ws_warm_bn_good : int;
-  ws_cycles_skipped : int;
-  ws_captures : int;
-  ws_capture_bytes : int;
-  ws_verdicts_equal : bool;
-}
-
-let warmstart_names = [ "alu"; "sha256_hv" ]
-
-(* Good-network checkpointing benchmark: the same resilient campaign cold
-   (every batch re-simulates the good network) and warm (one capture,
-   every batch replays it from its activation-window snapshot). The warm
-   run's wall clock starts before its capture, so the speedup stays
-   end-to-end; the verdict check is the experiment's correctness gate. *)
-let warmstart ?(jobs = 4) ~scale () =
-  List.map
-    (fun name ->
-      let c = Circuits.find name in
-      let _, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
-      let n = Array.length faults in
-      let base =
-        {
-          Resilient.default_config with
-          Resilient.jobs;
-          batch_size = max 1 (n / 8);
-        }
-      in
-      let cold = Resilient.run ~config:base g w faults in
-      let warm =
-        Resilient.run
-          ~config:{ base with Resilient.warmstart = true }
-          g w faults
-      in
-      let cr = cold.Resilient.result and wr = warm.Resilient.result in
-      let cw = cr.Fault.wall_time and ww = wr.Fault.wall_time in
-      {
-        ws_name = c.paper_name;
-        ws_faults = n;
-        ws_cycles = w.Workload.cycles;
-        ws_batches = cold.Resilient.batches_total;
-        ws_cold_wall = cw;
-        ws_warm_wall = ww;
-        ws_speedup = (if ww > 0.0 then cw /. ww else 1.0);
-        ws_cold_bn_good = cr.Fault.stats.Stats.bn_good;
-        ws_warm_bn_good = wr.Fault.stats.Stats.bn_good;
-        ws_cycles_skipped = wr.Fault.stats.Stats.good_cycles_skipped;
-        ws_captures = wr.Fault.stats.Stats.goodtrace_captures;
-        ws_capture_bytes = warm.Resilient.capture_bytes;
-        ws_verdicts_equal =
-          cr.Fault.detected = wr.Fault.detected
-          && cr.Fault.detection_cycle = wr.Fault.detection_cycle;
-      })
-    warmstart_names
-
-let warmstart_json ~scale rows =
-  let row_json r =
-    Jsonl.Obj
-      [
-        ("name", Jsonl.String r.ws_name);
-        ("faults", Jsonl.Int r.ws_faults);
-        ("cycles", Jsonl.Int r.ws_cycles);
-        ("batches", Jsonl.Int r.ws_batches);
-        ("cold_wall_s", Jsonl.Float r.ws_cold_wall);
-        ("warm_wall_s", Jsonl.Float r.ws_warm_wall);
-        ("speedup", Jsonl.Float r.ws_speedup);
-        ("cold_bn_good", Jsonl.Int r.ws_cold_bn_good);
-        ("warm_bn_good", Jsonl.Int r.ws_warm_bn_good);
-        ("good_cycles_skipped", Jsonl.Int r.ws_cycles_skipped);
-        ("goodtrace_captures", Jsonl.Int r.ws_captures);
-        ("capture_bytes", Jsonl.Int r.ws_capture_bytes);
-        ("verdicts_equal", Jsonl.Bool r.ws_verdicts_equal);
-      ]
-  in
-  Jsonl.Obj
-    [
-      ("experiment", Jsonl.String "warmstart");
-      ("scale", Jsonl.Float scale);
-      ("circuits", Jsonl.List (List.map row_json rows));
-    ]
-
 let mean_speedup rows ~num ~den =
   let log_sum, n =
     List.fold_left

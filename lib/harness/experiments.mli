@@ -61,77 +61,3 @@ type mem_ablation_row = {
 (** Ablation of the per-word memory-visibility refinement (DESIGN.md §6) on
     the memory-heavy circuits. *)
 val mem_ablation : scale:float -> mem_ablation_row list
-
-type resilience_row = {
-  res_name : string;
-  res_batches : int;
-  res_cov_monolithic : float;  (** one Campaign.run over the whole list *)
-  res_cov_batched : float;  (** journaled Resilient.run, cold *)
-  res_cov_resumed : float;  (** after dropping the journal's last record *)
-  res_divergences : int;  (** quarantines under an injected engine bug *)
-  res_quarantine_ok : bool;
-      (** the injected divergence was caught and the final verdicts still
-          match the monolithic run *)
-}
-
-(** Exercise the resilient runner end to end (DESIGN.md §8): batched ==
-    monolithic coverage, crash/resume equivalence through the journal, and
-    quarantine of an injected engine divergence. *)
-val resilience : scale:float -> resilience_row list
-
-type scaling_point = {
-  sp_jobs : int;
-  sp_wall : float;  (** whole-campaign wall time at this worker count *)
-  sp_faults_per_sec : float;
-  sp_speedup : float;  (** vs the row's first point (jobs = 1) *)
-  sp_stats : Faultsim.Stats.t;
-      (** redundancy-hit counters — identical across the row's points, a
-          built-in check that parallelism changed no simulation work *)
-}
-
-type scaling_row = {
-  sc_name : string;
-  sc_faults : int;
-  sc_cycles : int;
-  sc_points : scaling_point list;
-}
-
-(** Multicore scaling sweep (DESIGN.md §9): every Table II circuit through
-    the resilient runner at each worker count in [jobs] (default
-    [1; 2; 4; 8]). Speedups are relative to the first point; real gains of
-    course require as many hardware cores as workers. *)
-val scaling : ?jobs:int list -> scale:float -> unit -> scaling_row list
-
-(** One-line JSON document for [BENCH_scaling.json] (parse it back with
-    {!Jsonl.parse}): [{experiment, scale, circuits: [{name, faults, cycles,
-    points: [{jobs, wall_s, faults_per_sec, speedup, stats}]}]}]. *)
-val scaling_json : scale:float -> scaling_row list -> Jsonl.t
-
-type warmstart_row = {
-  ws_name : string;
-  ws_faults : int;
-  ws_cycles : int;
-  ws_batches : int;
-  ws_cold_wall : float;  (** cold resilient campaign *)
-  ws_warm_wall : float;  (** warm campaign, capture run included *)
-  ws_speedup : float;  (** cold / warm *)
-  ws_cold_bn_good : int;  (** good executions summed over cold batches *)
-  ws_warm_bn_good : int;  (** must be 0: every batch replays the trace *)
-  ws_cycles_skipped : int;  (** dead-prefix cycles skipped, all batches *)
-  ws_captures : int;  (** good-trace capture runs (always 1) *)
-  ws_capture_bytes : int;  (** heap footprint of the capture *)
-  ws_verdicts_equal : bool;
-      (** warm detected sets and detection cycles match cold exactly *)
-}
-
-(** Good-network checkpointing benchmark (DESIGN.md §13): the same
-    resilient campaign cold and warm-started, on the circuits where the
-    good network dominates. *)
-val warmstart : ?jobs:int -> scale:float -> unit -> warmstart_row list
-
-(** One-line JSON document for [BENCH_warmstart.json]: [{experiment,
-    scale, circuits: [{name, faults, cycles, batches, cold_wall_s,
-    warm_wall_s, speedup, cold_bn_good, warm_bn_good,
-    good_cycles_skipped, goodtrace_captures, capture_bytes,
-    verdicts_equal}]}]. *)
-val warmstart_json : scale:float -> warmstart_row list -> Jsonl.t

@@ -131,49 +131,3 @@ let mem_ablation ppf rows =
         r.m_implicit_exact r.m_implicit_conservative r.m_time_exact
         r.m_time_conservative)
     rows
-
-let scaling ppf rows =
-  Format.fprintf ppf
-    "Scaling: fault-partition parallelism over worker domains@.";
-  Format.fprintf ppf "  %-12s %7s %7s | %s@." "Benchmark" "#Faults" "#Cycles"
-    "per jobs: wall(s) faults/s speedup";
-  List.iter
-    (fun (r : Experiments.scaling_row) ->
-      Format.fprintf ppf "  %-12s %7d %7d |" r.sc_name r.sc_faults r.sc_cycles;
-      List.iter
-        (fun (p : Experiments.scaling_point) ->
-          Format.fprintf ppf "  j%d: %.3f %.0f %.2fx" p.sp_jobs p.sp_wall
-            p.sp_faults_per_sec p.sp_speedup)
-        r.sc_points;
-      Format.fprintf ppf "@.")
-    rows
-
-let warmstart ppf rows =
-  Format.fprintf ppf
-    "Warm start: good-trace capture + activation-window snapshots vs cold@.";
-  Format.fprintf ppf "  %-12s %7s %7s %8s %9s %9s %8s %9s %8s %10s %8s@."
-    "Benchmark" "#Faults" "#Cycles" "#Batches" "cold(s)" "warm(s)" "speedup"
-    "bn_good" "skipped" "capture(B)" "verdicts";
-  List.iter
-    (fun (r : Experiments.warmstart_row) ->
-      Format.fprintf ppf
-        "  %-12s %7d %7d %8d %9.3f %9.3f %7.2fx %4d/%-4d %8d %10d %8s@."
-        r.ws_name r.ws_faults r.ws_cycles r.ws_batches r.ws_cold_wall
-        r.ws_warm_wall r.ws_speedup r.ws_warm_bn_good r.ws_cold_bn_good
-        r.ws_cycles_skipped r.ws_capture_bytes
-        (if r.ws_verdicts_equal then "equal" else "DIFFER"))
-    rows
-
-let resilience ppf rows =
-  Format.fprintf ppf
-    "Resilient runner: batched / resumed coverage parity and divergence \
-     quarantine@.";
-  Format.fprintf ppf "  %-12s %8s %10s %10s %10s %6s %11s@." "Benchmark"
-    "#Batches" "cov(mono)" "cov(batch)" "cov(resume)" "#Div" "quarantine";
-  List.iter
-    (fun (r : Experiments.resilience_row) ->
-      Format.fprintf ppf "  %-12s %8d %9.2f%% %9.2f%% %9.2f%% %6d %11s@."
-        r.res_name r.res_batches r.res_cov_monolithic r.res_cov_batched
-        r.res_cov_resumed r.res_divergences
-        (if r.res_quarantine_ok then "ok" else "FAILED"))
-    rows

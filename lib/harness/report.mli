@@ -13,12 +13,3 @@ val perf : title:string -> Format.formatter -> Experiments.perf_row list -> unit
 
 val mem_ablation :
   Format.formatter -> Experiments.mem_ablation_row list -> unit
-
-val resilience : Format.formatter -> Experiments.resilience_row list -> unit
-
-(** Text table for the multicore scaling sweep. *)
-val scaling : Format.formatter -> Experiments.scaling_row list -> unit
-
-(** Text table for the good-trace warm-start benchmark. *)
-val warmstart : Format.formatter -> Experiments.warmstart_row list -> unit
-

@@ -864,29 +864,12 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
       g.Rtlir.Elaborate.outputs.(i)
   in
   (* Expected (oracle-side) output-port values of one faulty network at
-     cycle [at] over window [cycles] — a lone boxed-Bytecode simulator, the
-     same configuration the serial oracle pins. *)
+     cycle [at] over window [cycles] — a lone simulator in the serial
+     oracle's IFsim configuration. *)
   let oracle_outputs fault_id ~cycles ~at =
-    let f = faults.(fault_id) in
-    let sconfig =
-      {
-        Sim.Simulator.eval = Sim.Simulator.Bytecode;
-        scheduler = Sim.Simulator.Fifo;
-        repr = Sim.Simulator.Boxed;
-      }
-    in
-    let force =
-      match f.Fault.stuck with
-      | Fault.Stuck_at_0 -> Some (f.Fault.signal, f.Fault.bit, false)
-      | Fault.Stuck_at_1 -> Some (f.Fault.signal, f.Fault.bit, true)
-      | Fault.Flip_at _ -> None
-    in
-    let sim = Sim.Simulator.create ~config:sconfig ?force g in
-    let on_cycle_start cyc =
-      match f.Fault.stuck with
-      | Fault.Flip_at at when at = cyc ->
-          Sim.Simulator.flip_bit sim f.Fault.signal f.Fault.bit
-      | _ -> ()
+    let sim, on_cycle_start =
+      Baselines.Serial.faulty_sim ~config:Baselines.Serial.ifsim_config g
+        faults.(fault_id)
     in
     let wc =
       Workload.checked

@@ -18,9 +18,3 @@ type iwriter = {
 
 let reader_of_state st =
   { iget = State.get st; iget_mem = State.get_mem st }
-
-let boxed_reader ~width ~mem_width (r : ireader) =
-  {
-    get = (fun id -> Bits.make (width id) (r.iget id));
-    get_mem = (fun m a -> Bits.make (mem_width m) (r.iget_mem m a));
-  }

@@ -6,11 +6,10 @@
     [0..size-1] by the evaluators.
 
     Two parallel families exist: the boxed {!reader}/{!writer} over
-    {!Rtlir.Bits.t} (compatibility surface, used by the boxed simulator
-    backend and external probes) and the unboxed {!ireader}/{!iwriter} over
-    masked [int64] payloads (see {!Rtlir.Bitops}), used by the flat
-    representation paths where widths are carried statically by the
-    compiled plans. *)
+    {!Rtlir.Bits.t}, used by the single-network simulator and external
+    probes, and the unboxed {!ireader}/{!iwriter} over masked [int64]
+    payloads (see {!Rtlir.Bitops}), used by the concurrent engine where
+    widths are carried statically by the compiled plans. *)
 
 open Rtlir
 
@@ -41,8 +40,3 @@ type iwriter = {
 
 (** Plain overlay-free reader over flat state. *)
 val reader_of_state : State.t -> ireader
-
-(** Boxed view of an unboxed reader, materialising {!Rtlir.Bits.t} values
-    from the design's width maps (for probes and compatibility layers). *)
-val boxed_reader :
-  width:(int -> int) -> mem_width:(int -> int) -> ireader -> reader

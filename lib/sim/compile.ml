@@ -231,9 +231,6 @@ let exec t ?record reader writer =
   in
   walk t.cfg.entry
 
-let fault_choice t node_id reader =
-  t.choosers.(node_id) (t.selectors.(node_id) reader)
-
 (* --- payload-compiled procs --- *)
 
 let simple_stmt_i ~sig_width ~mem_width ~mem_size =

@@ -42,10 +42,6 @@ val proc : mem_size:(int -> int) -> Stmt.t -> t
 val exec :
   t -> ?record:int array -> Access.reader -> Access.writer -> unit
 
-(** [fault_choice t node_id reader] evaluates the decision's selector under
-    a fault reader and returns the chosen target index. *)
-val fault_choice : t -> int -> Access.reader -> int
-
 (* --- payload-compiled family: same artifacts over unboxed int64 payloads,
    with widths resolved at compile time (see {!Rtlir.Bitops}) --- *)
 
@@ -80,4 +76,6 @@ val proc_i :
 val exec_i :
   ti -> ?record:int array -> Access.ireader -> Access.iwriter -> unit
 
+(** [fault_choice_i t node_id reader] evaluates the decision's selector
+    under a fault reader and returns the chosen target index. *)
 val fault_choice_i : ti -> int -> Access.ireader -> int

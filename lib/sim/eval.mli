@@ -1,7 +1,8 @@
-(** AST-walking expression evaluation — the interpreted ("IFsim") path.
-
-    Walks the expression tree on every evaluation, mirroring an interpreting
-    simulator. The compiled path lives in {!Compile}. *)
+(** Tree-walking expression evaluation, for one-off evaluations that do not
+    pay for compiling (static fault classification, the Algorithm 1 walk's
+    selector and address checks), plus the address-wrapping helpers shared with
+    {!Compile} and {!Bytecode}. The simulators' hot paths compile
+    expressions instead. *)
 
 open Rtlir
 
@@ -24,8 +25,3 @@ val wrap_address : Bits.t -> int -> int
 
 (** Payload variant of {!wrap_address}. *)
 val wrap_address_i : int64 -> int -> int
-
-(** Single-operator application (shared with the bytecode interpreter). *)
-val apply_unop : Expr.unop -> Bits.t -> Bits.t
-
-val apply_binop : Expr.binop -> Bits.t -> Bits.t -> Bits.t

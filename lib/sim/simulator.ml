@@ -2,721 +2,312 @@ open Rtlir
 
 type scheduler = Levelized | Fifo | Cycle_based
 
-type eval_style = Closures | Ast | Bytecode
+type eval_style = Closures | Bytecode
 
-type repr = Boxed | Flat
+type config = { eval : eval_style; scheduler : scheduler }
 
-type config = { eval : eval_style; scheduler : scheduler; repr : repr }
-
-let default_config = { eval = Closures; scheduler = Levelized; repr = Flat }
+let default_config = { eval = Closures; scheduler = Levelized }
 
 exception Unstable of string
 
-(* ------------------------------------------------------------------ *)
-(* Boxed backend: the original per-value Bits.t representation, kept
-   verbatim as the old-representation baseline (and cost model for the
-   IFsim/VFsim baselines). *)
-(* ------------------------------------------------------------------ *)
+type t = {
+  graph : Elaborate.t;
+  config : config;
+  values : Bits.t array;
+  mems : Bits.t array array;
+  force : (int * int * bool) option;
+  (* Dirty tracking over topological positions of combinational nodes. *)
+  dirty : bool array;
+  mutable dirty_hi : int;  (* highest dirty position, -1 when clean *)
+  mutable dirty_lo : int;
+  (* FIFO event wheel (the Iverilog-style dynamic scheduler): pending node
+     positions in arrival order; [dirty] doubles as the queued flag. *)
+  fifo : int Queue.t;
+  mutable current_pos : int;
+      (* combinational node being evaluated right now: a process does not
+         re-trigger on its own blocking writes (it is not waiting while it
+         runs), so self-marks are suppressed *)
+  (* Pending nonblocking updates, in execution order. *)
+  mutable nba : (int * Bits.t) list;
+  mutable nba_mem : (int * int * Bits.t) list;
+  prev_clock : Bits.t array;  (* indexed like values; valid for clocks *)
+  comb_eval : (unit -> unit) array;  (* per topological position *)
+  ff_run : (unit -> unit) array;  (* per proc id; no-op for comb procs *)
+  mutable executions : int;
+}
 
-module Bsim = struct
-  type t = {
-    graph : Elaborate.t;
-    config : config;
-    values : Bits.t array;
-    mems : Bits.t array array;
-    force : (int * int * bool) option;
-    (* Dirty tracking over topological positions of combinational nodes. *)
-    dirty : bool array;
-    mutable dirty_hi : int;  (* highest dirty position, -1 when clean *)
-    mutable dirty_lo : int;
-    (* FIFO event wheel (the Iverilog-style dynamic scheduler): pending node
-       positions in arrival order; [dirty] doubles as the queued flag. *)
-    fifo : int Queue.t;
-    mutable current_pos : int;
-        (* combinational node being evaluated right now: a process does not
-           re-trigger on its own blocking writes (it is not waiting while it
-           runs), so self-marks are suppressed *)
-    (* Pending nonblocking updates, in execution order. *)
-    mutable nba : (int * Bits.t) list;
-    mutable nba_mem : (int * int * Bits.t) list;
-    prev_clock : Bits.t array;  (* indexed like values; valid for clocks *)
-    comb_eval : (unit -> unit) array;  (* per topological position *)
-    ff_run : (unit -> unit) array;  (* per proc id; no-op for comb procs *)
-    mutable executions : int;
-  }
+let apply_force t id v =
+  match t.force with
+  | Some (fid, bit, value) when fid = id -> Bits.force_bit v bit value
+  | Some _ | None -> v
 
-  let apply_force t id v =
-    match t.force with
-    | Some (fid, bit, value) when fid = id -> Bits.force_bit v bit value
-    | Some _ | None -> v
-
-  (* Marking must update the sweep bounds even when the flag is already set:
-     a self-reading comb process leaves its own flag set after the sweep
-     passes it, and a later mark must still re-arm the bounds. In FIFO mode
-     the flag instead means "queued". *)
-  let mark_pos t pos =
-    if pos = t.current_pos then ()
-    else
-      match t.config.scheduler with
-      | Fifo ->
-          if not t.dirty.(pos) then begin
-            t.dirty.(pos) <- true;
-            Queue.push pos t.fifo
-          end
-      | Levelized | Cycle_based ->
-          t.dirty.(pos) <- true;
-          if pos > t.dirty_hi then t.dirty_hi <- pos;
-          if pos < t.dirty_lo then t.dirty_lo <- pos
-
-  let mark_fanout t id =
-    let fanout = t.graph.fanout_comb.(id) in
-    for i = 0 to Array.length fanout - 1 do
-      mark_pos t fanout.(i)
-    done
-
-  let mark_mem_fanout t m =
-    let fanout = t.graph.fanout_mem.(m) in
-    for i = 0 to Array.length fanout - 1 do
-      mark_pos t fanout.(i)
-    done
-
-  let write_signal t id v =
-    let v = apply_force t id v in
-    if not (Bits.equal t.values.(id) v) then begin
-      t.values.(id) <- v;
-      mark_fanout t id
-    end
-
-  let write_mem_now t m addr v =
-    if not (Bits.equal t.mems.(m).(addr) v) then begin
-      t.mems.(m).(addr) <- v;
-      mark_mem_fanout t m
-    end
-
-  let create ~config ?force g =
-    let d = g.Elaborate.design in
-    let nsig = Design.num_signals d in
-    let values =
-      Array.init nsig (fun i -> Bits.zero d.Design.signals.(i).width)
-    in
-    let mems =
-      Array.map
-        (fun (m : Design.mem) ->
-          match m.init with
-          | Some init -> Array.copy init
-          | None -> Array.make m.size (Bits.zero m.data_width))
-        d.Design.mems
-    in
-    let ncomb = Array.length g.Elaborate.comb_nodes in
-    let t =
-      {
-        graph = g;
-        config;
-        values;
-        mems;
-        force;
-        dirty = Array.make ncomb false;
-        dirty_hi = -1;
-        dirty_lo = ncomb;
-        fifo = Queue.create ();
-        current_pos = -1;
-        nba = [];
-        nba_mem = [];
-        prev_clock = Array.copy values;
-        comb_eval = Array.make ncomb (fun () -> ());
-        ff_run = Array.make (Array.length d.Design.procs) (fun () -> ());
-        executions = 0;
-      }
-    in
-    (match force with
-    | Some (id, bit, value) ->
-        t.values.(id) <- Bits.force_bit t.values.(id) bit value
-    | None -> ());
-    let mem_size m = d.Design.mems.(m).size in
-    let reader =
-      {
-        Access.get = (fun id -> t.values.(id));
-        get_mem = (fun m a -> t.mems.(m).(a));
-      }
-    in
-    let comb_writer =
-      {
-        Access.set_blocking = (fun id v -> write_signal t id v);
-        set_nonblocking =
-          (fun id _ ->
-            raise
-              (Unstable
-                 (Printf.sprintf "nonblocking write to %s in comb process"
-                    (Design.signal_name d id))));
-        write_mem =
-          (fun _ _ _ -> raise (Unstable "memory write in comb process"));
-      }
-    in
-    let ff_writer =
-      {
-        Access.set_blocking =
-          (fun id _ ->
-            raise
-              (Unstable
-                 (Printf.sprintf "blocking write to %s in ff process"
-                    (Design.signal_name d id))));
-        set_nonblocking = (fun id v -> t.nba <- (id, v) :: t.nba);
-        write_mem = (fun m a v -> t.nba_mem <- (m, a, v) :: t.nba_mem);
-      }
-    in
-    (* Evaluation closures for combinational nodes (both styles expose the
-       same [unit -> unit] interface; the interpreted style walks the tree on
-       each call). *)
-    Array.iteri
-      (fun pos node ->
-        match node with
-        | Elaborate.Cassign i -> (
-            let a = d.Design.assigns.(i) in
-            match config.eval with
-            | Closures ->
-                let ce = Compile.expr ~mem_size a.expr in
-                t.comb_eval.(pos) <-
-                  (fun () -> write_signal t a.target (ce reader))
-            | Ast ->
-                t.comb_eval.(pos) <-
-                  (fun () ->
-                    write_signal t a.target (Eval.eval ~mem_size reader a.expr))
-            | Bytecode ->
-                let prog = Bytecode.compile ~mem_size a.expr in
-                t.comb_eval.(pos) <-
-                  (fun () -> write_signal t a.target (Bytecode.eval prog reader))
-            )
-        | Elaborate.Cproc i -> (
-            let p = d.Design.procs.(i) in
-            match config.eval with
-            | Closures ->
-                let cp = Compile.proc ~mem_size p.body in
-                t.comb_eval.(pos) <-
-                  (fun () ->
-                    t.executions <- t.executions + 1;
-                    Compile.exec cp reader comb_writer)
-            | Ast ->
-                t.comb_eval.(pos) <-
-                  (fun () ->
-                    t.executions <- t.executions + 1;
-                    Interp.exec ~mem_size reader comb_writer p.body)
-            | Bytecode ->
-                let sp = Bytecode.compile_stmt ~mem_size p.body in
-                t.comb_eval.(pos) <-
-                  (fun () ->
-                    t.executions <- t.executions + 1;
-                    Bytecode.exec sp reader comb_writer)))
-      g.Elaborate.comb_nodes;
-    Array.iter
-      (fun i ->
-        let p = d.Design.procs.(i) in
-        match config.eval with
-        | Closures ->
-            let cp = Compile.proc ~mem_size p.body in
-            t.ff_run.(i) <-
-              (fun () ->
-                t.executions <- t.executions + 1;
-                Compile.exec cp reader ff_writer)
-        | Ast ->
-            t.ff_run.(i) <-
-              (fun () ->
-                t.executions <- t.executions + 1;
-                Interp.exec ~mem_size reader ff_writer p.body)
-        | Bytecode ->
-            let sp = Bytecode.compile_stmt ~mem_size p.body in
-            t.ff_run.(i) <-
-              (fun () ->
-                t.executions <- t.executions + 1;
-                Bytecode.exec sp reader ff_writer))
-      g.Elaborate.ff_procs;
-    (* Initial settle: evaluate everything once. *)
-    for pos = 0 to ncomb - 1 do
-      t.current_pos <- pos;
-      t.comb_eval.(pos) ();
-      t.current_pos <- -1
-    done;
-    t.dirty_hi <- -1;
-    t.dirty_lo <- ncomb;
-    Array.fill t.dirty 0 ncomb false;
-    Queue.clear t.fifo;
-    Array.iter (fun c -> t.prev_clock.(c) <- t.values.(c)) g.Elaborate.clocks;
-    t
-
-  let settle t =
-    let ncomb = Array.length t.comb_eval in
+(* Marking must update the sweep bounds even when the flag is already set:
+   a self-reading comb process leaves its own flag set after the sweep
+   passes it, and a later mark must still re-arm the bounds. In FIFO mode
+   the flag instead means "queued". *)
+let mark_pos t pos =
+  if pos = t.current_pos then ()
+  else
     match t.config.scheduler with
-    | Levelized ->
-        let pos = ref t.dirty_lo in
-        while !pos <= t.dirty_hi do
-          if t.dirty.(!pos) then begin
-            t.dirty.(!pos) <- false;
-            t.current_pos <- !pos;
-            t.comb_eval.(!pos) ();
-            t.current_pos <- -1
-          end;
-          incr pos
-        done;
-        t.dirty_hi <- -1;
-        t.dirty_lo <- ncomb
     | Fifo ->
-        (* Arrival-order processing without levelization: reconvergent fanout
-           makes nodes re-evaluate on glitches, as in a classic event wheel.
-           Terminates on acyclic logic; bounded by depth * nodes. *)
-        let budget = ref (64 * (ncomb + 1) * (ncomb + 1)) in
-        while not (Queue.is_empty t.fifo) do
-          decr budget;
-          if !budget < 0 then raise (Unstable "event wheel did not settle");
-          let pos = Queue.pop t.fifo in
-          t.dirty.(pos) <- false;
-          t.current_pos <- pos;
-          t.comb_eval.(pos) ();
-          t.current_pos <- -1
-        done
-    | Cycle_based ->
-        for pos = 0 to ncomb - 1 do
-          t.current_pos <- pos;
-          t.comb_eval.(pos) ();
-          t.current_pos <- -1
-        done;
-        t.dirty_hi <- -1;
-        t.dirty_lo <- ncomb;
-        Array.fill t.dirty 0 ncomb false;
-        Queue.clear t.fifo
-
-  let edge_fired edge ~old_b ~new_b =
-    match edge with
-    | Design.Posedge -> (not (Bits.bit old_b 0)) && Bits.bit new_b 0
-    | Design.Negedge -> Bits.bit old_b 0 && not (Bits.bit new_b 0)
-
-  let commit_nba t =
-    let writes = List.rev t.nba in
-    t.nba <- [];
-    List.iter (fun (id, v) -> write_signal t id v) writes;
-    let mem_writes = List.rev t.nba_mem in
-    t.nba_mem <- [];
-    List.iter (fun (m, a, v) -> write_mem_now t m a v) mem_writes
-
-  let set_input t id v = write_signal t id v
-
-  let flip_bit t id bit =
-    let cur = t.values.(id) in
-    write_signal t id (Bits.force_bit cur bit (not (Bits.bit cur bit)))
-
-  let step t =
-    settle t;
-    let g = t.graph in
-    let rounds = ref 0 in
-    let continue = ref true in
-    while !continue do
-      incr rounds;
-      if !rounds > 16 then raise (Unstable "clock edge cascade did not settle");
-      let fired = ref [] in
-      Array.iter
-        (fun c ->
-          let old_b = t.prev_clock.(c) and new_b = t.values.(c) in
-          if not (Bits.equal old_b new_b) then begin
-            List.iter
-              (fun (pidx, edge) ->
-                if edge_fired edge ~old_b ~new_b then fired := pidx :: !fired)
-              g.Elaborate.ff_of_clock.(c);
-            t.prev_clock.(c) <- new_b
-          end)
-        g.Elaborate.clocks;
-      match !fired with
-      | [] -> continue := false
-      | l ->
-          List.iter (fun pidx -> t.ff_run.(pidx) ()) (List.sort_uniq compare l);
-          commit_nba t;
-          settle t
-    done
-
-  let peek t id = t.values.(id)
-  let peek_mem t m a = t.mems.(m).(a)
-  let outputs t = Array.map (fun id -> t.values.(id)) t.graph.Elaborate.outputs
-end
-
-(* ------------------------------------------------------------------ *)
-(* Flat backend: struct-of-arrays int64 state (State.t) written through a
-   Flatcode context. Identical scheduling semantics to the boxed backend;
-   the steady-state loop is allocation-free under the Bytecode (flatcode)
-   eval style. All loops below use recursion or for-loops with int
-   accumulators rather than refs/closures, to keep the step path free of
-   minor allocation. *)
-(* ------------------------------------------------------------------ *)
-
-module Fsim = struct
-  type t = {
-    graph : Elaborate.t;
-    config : config;
-    st : State.t;
-    ctx : Flatcode.ctx;
-    dirty : bool array;
-    mutable dirty_hi : int;
-    mutable dirty_lo : int;
-    (* FIFO ring buffer: capacity ncomb + 1; [dirty] = queued, so at most
-       ncomb entries are ever pending and the ring cannot overflow. *)
-    ring : int array;
-    mutable ring_head : int;
-    mutable ring_tail : int;
-    mutable current_pos : int;
-    prev_clock : State.i64a;  (* indexed like signals; valid for clocks *)
-    fired : bool array;  (* per proc id, cleared as procs run *)
-    mutable any_fired : bool;
-    comb_eval : (unit -> unit) array;
-    ff_run : (unit -> unit) array;
-    mutable executions : int;
-  }
-
-  let mark_pos t pos =
-    if pos = t.current_pos then ()
-    else
-      match t.config.scheduler with
-      | Fifo ->
-          if not t.dirty.(pos) then begin
-            t.dirty.(pos) <- true;
-            t.ring.(t.ring_tail) <- pos;
-            t.ring_tail <- (t.ring_tail + 1) mod Array.length t.ring
-          end
-      | Levelized | Cycle_based ->
+        if not t.dirty.(pos) then begin
           t.dirty.(pos) <- true;
-          if pos > t.dirty_hi then t.dirty_hi <- pos;
-          if pos < t.dirty_lo then t.dirty_lo <- pos
+          Queue.push pos t.fifo
+        end
+    | Levelized | Cycle_based ->
+        t.dirty.(pos) <- true;
+        if pos > t.dirty_hi then t.dirty_hi <- pos;
+        if pos < t.dirty_lo then t.dirty_lo <- pos
 
-  let mark_fanout t id =
-    let fanout = t.graph.fanout_comb.(id) in
-    for i = 0 to Array.length fanout - 1 do
-      mark_pos t fanout.(i)
-    done
+let mark_fanout t id =
+  let fanout = t.graph.fanout_comb.(id) in
+  for i = 0 to Array.length fanout - 1 do
+    mark_pos t fanout.(i)
+  done
 
-  let mark_mem_fanout t m =
-    let fanout = t.graph.fanout_mem.(m) in
-    for i = 0 to Array.length fanout - 1 do
-      mark_pos t fanout.(i)
-    done
+let mark_mem_fanout t m =
+  let fanout = t.graph.fanout_mem.(m) in
+  for i = 0 to Array.length fanout - 1 do
+    mark_pos t fanout.(i)
+  done
 
-  let create ~config ?force g =
-    let d = g.Elaborate.design in
-    let st = State.create d in
-    (match force with
-    | Some (id, bit, value) ->
-        State.set st id (Bitops.force_bit (State.get st id) bit value)
-    | None -> ());
-    let ctx = Flatcode.create ?force st in
-    let ncomb = Array.length g.Elaborate.comb_nodes in
-    let t =
-      {
-        graph = g;
-        config;
-        st;
-        ctx;
-        dirty = Array.make ncomb false;
-        dirty_hi = -1;
-        dirty_lo = ncomb;
-        ring = Array.make (ncomb + 1) 0;
-        ring_head = 0;
-        ring_tail = 0;
-        current_pos = -1;
-        prev_clock =
-          (let a =
-             Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
-               st.State.nsig
-           in
-           Bigarray.Array1.fill a 0L;
-           a);
-        fired = Array.make (Array.length d.Design.procs) false;
-        any_fired = false;
-        comb_eval = Array.make ncomb (fun () -> ());
-        ff_run = Array.make (Array.length d.Design.procs) (fun () -> ());
-        executions = 0;
-      }
-    in
-    Flatcode.set_on_change ctx (mark_fanout t);
-    Flatcode.set_on_mem_change ctx (mark_mem_fanout t);
-    let sig_width id = State.width st id in
-    let mem_width m = State.mem_width st m in
-    let mem_size m = State.mem_size st m in
-    let mem_base m = st.State.mem_base.(m) in
-    let ir = Access.reader_of_state st in
-    let comb_iwriter =
-      {
-        Access.iset_blocking = (fun id v -> Flatcode.write_sig ctx id v);
-        iset_nonblocking =
-          (fun id _ ->
-            raise
-              (Unstable
-                 (Printf.sprintf "nonblocking write to %s in comb process"
-                    (Design.signal_name d id))));
-        iwrite_mem =
-          (fun _ _ _ -> raise (Unstable "memory write in comb process"));
-      }
-    in
-    let ff_iwriter =
-      {
-        Access.iset_blocking =
-          (fun id _ ->
-            raise
-              (Unstable
-                 (Printf.sprintf "blocking write to %s in ff process"
-                    (Design.signal_name d id))));
-        iset_nonblocking = (fun id v -> Flatcode.push_nba ctx id v);
-        iwrite_mem =
-          (fun m a v -> Flatcode.push_nba_mem ctx m (mem_base m + a) v);
-      }
-    in
-    let fc_compile = Flatcode.compile ~sig_width ~mem_width ~mem_size ~mem_base in
-    let fc_compile_stmt =
-      Flatcode.compile_stmt ~sig_width ~mem_width ~mem_size ~mem_base
-    in
-    Array.iteri
-      (fun pos node ->
-        match node with
-        | Elaborate.Cassign i -> (
-            let a = d.Design.assigns.(i) in
-            match config.eval with
-            | Closures ->
-                let ce =
-                  Compile.expr_i ~sig_width ~mem_width ~mem_size a.expr
-                in
-                t.comb_eval.(pos) <-
-                  (fun () -> Flatcode.write_sig ctx a.target (ce ir))
-            | Ast ->
-                t.comb_eval.(pos) <-
-                  (fun () ->
-                    Flatcode.write_sig ctx a.target
-                      (Eval.eval_i ~sig_width ~mem_width ~mem_size ir a.expr))
-            | Bytecode ->
-                let prog = fc_compile a.expr in
-                t.comb_eval.(pos) <-
-                  (fun () -> Flatcode.run_assign ctx a.target prog))
-        | Elaborate.Cproc i -> (
-            let p = d.Design.procs.(i) in
-            match config.eval with
-            | Closures ->
-                let cp =
-                  Compile.proc_i ~sig_width ~mem_width ~mem_size p.body
-                in
-                t.comb_eval.(pos) <-
-                  (fun () ->
-                    t.executions <- t.executions + 1;
-                    Compile.exec_i cp ir comb_iwriter)
-            | Ast ->
-                t.comb_eval.(pos) <-
-                  (fun () ->
-                    t.executions <- t.executions + 1;
-                    Interp.exec_i ~sig_width ~mem_width ~mem_size ir
-                      comb_iwriter p.body)
-            | Bytecode ->
-                let sp = fc_compile_stmt p.body in
-                t.comb_eval.(pos) <-
-                  (fun () ->
-                    t.executions <- t.executions + 1;
-                    try Flatcode.exec ctx ~ff:false sp with
-                    | Flatcode.Nonblocking_in_comb id ->
-                        raise
-                          (Unstable
-                             (Printf.sprintf
-                                "nonblocking write to %s in comb process"
-                                (Design.signal_name d id)))
-                    | Flatcode.Mem_write_in_comb _ ->
-                        raise (Unstable "memory write in comb process"))))
-      g.Elaborate.comb_nodes;
-    Array.iter
-      (fun i ->
-        let p = d.Design.procs.(i) in
-        match config.eval with
-        | Closures ->
-            let cp = Compile.proc_i ~sig_width ~mem_width ~mem_size p.body in
-            t.ff_run.(i) <-
-              (fun () ->
-                t.executions <- t.executions + 1;
-                Compile.exec_i cp ir ff_iwriter)
-        | Ast ->
-            t.ff_run.(i) <-
-              (fun () ->
-                t.executions <- t.executions + 1;
-                Interp.exec_i ~sig_width ~mem_width ~mem_size ir ff_iwriter
-                  p.body)
-        | Bytecode ->
-            let sp = fc_compile_stmt p.body in
-            t.ff_run.(i) <-
-              (fun () ->
-                t.executions <- t.executions + 1;
-                try Flatcode.exec ctx ~ff:true sp with
-                | Flatcode.Blocking_in_ff id ->
-                    raise
-                      (Unstable
-                         (Printf.sprintf "blocking write to %s in ff process"
-                            (Design.signal_name d id)))))
-      g.Elaborate.ff_procs;
-    (* Initial settle: evaluate everything once. *)
-    for pos = 0 to ncomb - 1 do
-      t.current_pos <- pos;
-      t.comb_eval.(pos) ();
-      t.current_pos <- -1
-    done;
-    t.dirty_hi <- -1;
-    t.dirty_lo <- ncomb;
-    Array.fill t.dirty 0 ncomb false;
-    t.ring_head <- 0;
-    t.ring_tail <- 0;
-    Array.iter
-      (fun c -> Bigarray.Array1.set t.prev_clock c (State.get st c))
-      g.Elaborate.clocks;
-    t
+let write_signal t id v =
+  let v = apply_force t id v in
+  if not (Bits.equal t.values.(id) v) then begin
+    t.values.(id) <- v;
+    mark_fanout t id
+  end
 
-  let rec sweep t pos =
-    (* dirty_hi can be re-armed by marks during the sweep; re-read it *)
-    if pos <= t.dirty_hi then begin
-      if t.dirty.(pos) then begin
+let write_mem_now t m addr v =
+  if not (Bits.equal t.mems.(m).(addr) v) then begin
+    t.mems.(m).(addr) <- v;
+    mark_mem_fanout t m
+  end
+
+let create ?(config = default_config) ?force g =
+  let d = g.Elaborate.design in
+  let nsig = Design.num_signals d in
+  let values =
+    Array.init nsig (fun i -> Bits.zero d.Design.signals.(i).width)
+  in
+  let mems =
+    Array.map
+      (fun (m : Design.mem) ->
+        match m.init with
+        | Some init -> Array.copy init
+        | None -> Array.make m.size (Bits.zero m.data_width))
+      d.Design.mems
+  in
+  let ncomb = Array.length g.Elaborate.comb_nodes in
+  let t =
+    {
+      graph = g;
+      config;
+      values;
+      mems;
+      force;
+      dirty = Array.make ncomb false;
+      dirty_hi = -1;
+      dirty_lo = ncomb;
+      fifo = Queue.create ();
+      current_pos = -1;
+      nba = [];
+      nba_mem = [];
+      prev_clock = Array.copy values;
+      comb_eval = Array.make ncomb (fun () -> ());
+      ff_run = Array.make (Array.length d.Design.procs) (fun () -> ());
+      executions = 0;
+    }
+  in
+  (match force with
+  | Some (id, bit, value) ->
+      t.values.(id) <- Bits.force_bit t.values.(id) bit value
+  | None -> ());
+  let mem_size m = d.Design.mems.(m).size in
+  let reader =
+    {
+      Access.get = (fun id -> t.values.(id));
+      get_mem = (fun m a -> t.mems.(m).(a));
+    }
+  in
+  let comb_writer =
+    {
+      Access.set_blocking = (fun id v -> write_signal t id v);
+      set_nonblocking =
+        (fun id _ ->
+          raise
+            (Unstable
+               (Printf.sprintf "nonblocking write to %s in comb process"
+                  (Design.signal_name d id))));
+      write_mem =
+        (fun _ _ _ -> raise (Unstable "memory write in comb process"));
+    }
+  in
+  let ff_writer =
+    {
+      Access.set_blocking =
+        (fun id _ ->
+          raise
+            (Unstable
+               (Printf.sprintf "blocking write to %s in ff process"
+                  (Design.signal_name d id))));
+      set_nonblocking = (fun id v -> t.nba <- (id, v) :: t.nba);
+      write_mem = (fun m a v -> t.nba_mem <- (m, a, v) :: t.nba_mem);
+    }
+  in
+  (* Evaluation closures for combinational nodes (both styles expose the
+     same [unit -> unit] interface). *)
+  Array.iteri
+    (fun pos node ->
+      match node with
+      | Elaborate.Cassign i -> (
+          let a = d.Design.assigns.(i) in
+          match config.eval with
+          | Closures ->
+              let ce = Compile.expr ~mem_size a.expr in
+              t.comb_eval.(pos) <-
+                (fun () -> write_signal t a.target (ce reader))
+          | Bytecode ->
+              let prog = Bytecode.compile ~mem_size a.expr in
+              t.comb_eval.(pos) <-
+                (fun () -> write_signal t a.target (Bytecode.eval prog reader))
+          )
+      | Elaborate.Cproc i -> (
+          let p = d.Design.procs.(i) in
+          match config.eval with
+          | Closures ->
+              let cp = Compile.proc ~mem_size p.body in
+              t.comb_eval.(pos) <-
+                (fun () ->
+                  t.executions <- t.executions + 1;
+                  Compile.exec cp reader comb_writer)
+          | Bytecode ->
+              let sp = Bytecode.compile_stmt ~mem_size p.body in
+              t.comb_eval.(pos) <-
+                (fun () ->
+                  t.executions <- t.executions + 1;
+                  Bytecode.exec sp reader comb_writer)))
+    g.Elaborate.comb_nodes;
+  Array.iter
+    (fun i ->
+      let p = d.Design.procs.(i) in
+      match config.eval with
+      | Closures ->
+          let cp = Compile.proc ~mem_size p.body in
+          t.ff_run.(i) <-
+            (fun () ->
+              t.executions <- t.executions + 1;
+              Compile.exec cp reader ff_writer)
+      | Bytecode ->
+          let sp = Bytecode.compile_stmt ~mem_size p.body in
+          t.ff_run.(i) <-
+            (fun () ->
+              t.executions <- t.executions + 1;
+              Bytecode.exec sp reader ff_writer))
+    g.Elaborate.ff_procs;
+  (* Initial settle: evaluate everything once. *)
+  for pos = 0 to ncomb - 1 do
+    t.current_pos <- pos;
+    t.comb_eval.(pos) ();
+    t.current_pos <- -1
+  done;
+  t.dirty_hi <- -1;
+  t.dirty_lo <- ncomb;
+  Array.fill t.dirty 0 ncomb false;
+  Queue.clear t.fifo;
+  Array.iter (fun c -> t.prev_clock.(c) <- t.values.(c)) g.Elaborate.clocks;
+  t
+
+let settle t =
+  let ncomb = Array.length t.comb_eval in
+  match t.config.scheduler with
+  | Levelized ->
+      let pos = ref t.dirty_lo in
+      while !pos <= t.dirty_hi do
+        if t.dirty.(!pos) then begin
+          t.dirty.(!pos) <- false;
+          t.current_pos <- !pos;
+          t.comb_eval.(!pos) ();
+          t.current_pos <- -1
+        end;
+        incr pos
+      done;
+      t.dirty_hi <- -1;
+      t.dirty_lo <- ncomb
+  | Fifo ->
+      (* Arrival-order processing without levelization: reconvergent fanout
+         makes nodes re-evaluate on glitches, as in a classic event wheel.
+         Terminates on acyclic logic; bounded by depth * nodes. *)
+      let budget = ref (64 * (ncomb + 1) * (ncomb + 1)) in
+      while not (Queue.is_empty t.fifo) do
+        decr budget;
+        if !budget < 0 then raise (Unstable "event wheel did not settle");
+        let pos = Queue.pop t.fifo in
         t.dirty.(pos) <- false;
         t.current_pos <- pos;
         t.comb_eval.(pos) ();
         t.current_pos <- -1
-      end;
-      sweep t (pos + 1)
-    end
+      done
+  | Cycle_based ->
+      for pos = 0 to ncomb - 1 do
+        t.current_pos <- pos;
+        t.comb_eval.(pos) ();
+        t.current_pos <- -1
+      done;
+      t.dirty_hi <- -1;
+      t.dirty_lo <- ncomb;
+      Array.fill t.dirty 0 ncomb false;
+      Queue.clear t.fifo
 
-  let rec drain t budget =
-    if t.ring_head <> t.ring_tail then begin
-      if budget < 0 then raise (Unstable "event wheel did not settle");
-      let pos = t.ring.(t.ring_head) in
-      t.ring_head <- (t.ring_head + 1) mod Array.length t.ring;
-      t.dirty.(pos) <- false;
-      t.current_pos <- pos;
-      t.comb_eval.(pos) ();
-      t.current_pos <- -1;
-      drain t (budget - 1)
-    end
+let edge_fired edge ~old_b ~new_b =
+  match edge with
+  | Design.Posedge -> (not (Bits.bit old_b 0)) && Bits.bit new_b 0
+  | Design.Negedge -> Bits.bit old_b 0 && not (Bits.bit new_b 0)
 
-  let settle t =
-    let ncomb = Array.length t.comb_eval in
-    match t.config.scheduler with
-    | Levelized ->
-        sweep t t.dirty_lo;
-        t.dirty_hi <- -1;
-        t.dirty_lo <- ncomb
-    | Fifo -> drain t ((64 * (ncomb + 1) * (ncomb + 1)) - 1)
-    | Cycle_based ->
-        for pos = 0 to ncomb - 1 do
-          t.current_pos <- pos;
-          t.comb_eval.(pos) ();
-          t.current_pos <- -1
-        done;
-        t.dirty_hi <- -1;
-        t.dirty_lo <- ncomb;
-        Array.fill t.dirty 0 ncomb false;
-        t.ring_head <- 0;
-        t.ring_tail <- 0
+let commit_nba t =
+  let writes = List.rev t.nba in
+  t.nba <- [];
+  List.iter (fun (id, v) -> write_signal t id v) writes;
+  let mem_writes = List.rev t.nba_mem in
+  t.nba_mem <- [];
+  List.iter (fun (m, a, v) -> write_mem_now t m a v) mem_writes
 
-  let set_input t id v = Flatcode.write_sig t.ctx id (Bits.to_int64 v)
-
-  let flip_bit t id bit =
-    let cur = State.get t.st id in
-    Flatcode.write_sig t.ctx id
-      (Bitops.force_bit cur bit (not (Bitops.bit cur bit)))
-
-  (* Edge detection on bools so no int64 crosses the helper boundary. *)
-  let rec fire_list t rising falling l =
-    match l with
-    | [] -> ()
-    | (pidx, edge) :: rest ->
-        (match edge with
-        | Design.Posedge ->
-            if rising then begin
-              t.fired.(pidx) <- true;
-              t.any_fired <- true
-            end
-        | Design.Negedge ->
-            if falling then begin
-              t.fired.(pidx) <- true;
-              t.any_fired <- true
-            end);
-        fire_list t rising falling rest
-
-  let scan_clocks t =
-    t.any_fired <- false;
-    let clocks = t.graph.Elaborate.clocks in
-    let sigs = t.st.State.sig_v in
-    for k = 0 to Array.length clocks - 1 do
-      let c = Array.unsafe_get clocks k in
-      let nb = Bigarray.Array1.unsafe_get sigs c in
-      let ob = Bigarray.Array1.unsafe_get t.prev_clock c in
-      if nb <> ob then begin
-        let ob0 = Int64.logand ob 1L = 1L in
-        let nb0 = Int64.logand nb 1L = 1L in
-        fire_list t ((not ob0) && nb0) (ob0 && not nb0)
-          t.graph.Elaborate.ff_of_clock.(c);
-        Bigarray.Array1.unsafe_set t.prev_clock c nb
-      end
-    done
-
-  let run_fired t =
-    (* ascending proc id: identical order to the boxed backend's
-       [List.sort_uniq] over collected ids *)
-    let fired = t.fired in
-    for pidx = 0 to Array.length fired - 1 do
-      if Array.unsafe_get fired pidx then begin
-        Array.unsafe_set fired pidx false;
-        t.ff_run.(pidx) ()
-      end
-    done
-
-  let rec step_rounds t rounds =
-    if rounds > 16 then raise (Unstable "clock edge cascade did not settle");
-    scan_clocks t;
-    if t.any_fired then begin
-      run_fired t;
-      Flatcode.commit_nba t.ctx;
-      settle t;
-      step_rounds t (rounds + 1)
-    end
-
-  let step t =
-    settle t;
-    step_rounds t 1
-
-  let peek t id = State.get_bits t.st id
-  let peek_mem t m a = State.get_mem_bits t.st m a
-
-  let outputs t =
-    Array.map (fun id -> State.get_bits t.st id) t.graph.Elaborate.outputs
-end
-
-(* ------------------------------------------------------------------ *)
-(* Dispatch *)
-(* ------------------------------------------------------------------ *)
-
-type t = B of Bsim.t | F of Fsim.t
-
-let create ?(config = default_config) ?force g =
-  match config.repr with
-  | Boxed -> B (Bsim.create ~config ?force g)
-  | Flat -> F (Fsim.create ~config ?force g)
-
-(* Dispatchers are eta-expanded to full applications: [function B t ->
-   Bsim.set_input t] would build a fresh partial-application closure on
-   every call, breaking the allocation-free step loop. *)
-let graph = function B t -> t.Bsim.graph | F t -> t.Fsim.graph
-
-let set_input t id v =
-  match t with
-  | B t -> Bsim.set_input t id v
-  | F t -> Fsim.set_input t id v
+let set_input t id v = write_signal t id v
 
 let flip_bit t id bit =
-  match t with
-  | B t -> Bsim.flip_bit t id bit
-  | F t -> Fsim.flip_bit t id bit
+  let cur = t.values.(id) in
+  write_signal t id (Bits.force_bit cur bit (not (Bits.bit cur bit)))
 
-let step = function B t -> Bsim.step t | F t -> Fsim.step t
+let step t =
+  settle t;
+  let g = t.graph in
+  let rounds = ref 0 in
+  let continue = ref true in
+  while !continue do
+    incr rounds;
+    if !rounds > 16 then raise (Unstable "clock edge cascade did not settle");
+    let fired = ref [] in
+    Array.iter
+      (fun c ->
+        let old_b = t.prev_clock.(c) and new_b = t.values.(c) in
+        if not (Bits.equal old_b new_b) then begin
+          List.iter
+            (fun (pidx, edge) ->
+              if edge_fired edge ~old_b ~new_b then fired := pidx :: !fired)
+            g.Elaborate.ff_of_clock.(c);
+          t.prev_clock.(c) <- new_b
+        end)
+      g.Elaborate.clocks;
+    match !fired with
+    | [] -> continue := false
+    | l ->
+        List.iter (fun pidx -> t.ff_run.(pidx) ()) (List.sort_uniq compare l);
+        commit_nba t;
+        settle t
+  done
 
-let peek t id = match t with B t -> Bsim.peek t id | F t -> Fsim.peek t id
-
-let peek_mem t m a =
-  match t with B t -> Bsim.peek_mem t m a | F t -> Fsim.peek_mem t m a
-
-let outputs = function B t -> Bsim.outputs t | F t -> Fsim.outputs t
-
-let proc_executions = function
-  | B t -> t.Bsim.executions
-  | F t -> t.Fsim.executions
+let peek t id = t.values.(id)
+let peek_mem t m a = t.mems.(m).(a)
+let outputs t = Array.map (fun id -> t.values.(id)) t.graph.Elaborate.outputs
+let graph t = t.graph
+let proc_executions t = t.executions

@@ -1,29 +1,14 @@
 (** Single-network event-driven / cycle-based simulator.
 
-    Simulates one network (fault-free, or with one stuck-at bit forced), in
-    one of three evaluation styles:
+    Simulates one network (fault-free, or with one stuck-at bit forced) over
+    one-[Bits.t]-per-value state, the cost model of the IFsim/VFsim
+    baselines. It runs in one of two evaluation styles:
 
     - {e closure-compiled} ([Closures]): everything compiles once into
       nested closures — the fast path used by the golden reference and (with
       cycle-based scheduling) the VFsim baseline;
-    - {e AST-walking} ([Ast]): expressions and statements are walked as
-      trees on every evaluation;
     - {e bytecode} ([Bytecode]): vvp-style stack-machine execution — the
       Iverilog-fidelity path used by the IFsim baseline.
-
-    and one of two value representations:
-
-    - {e flat} ([Flat], the default): signal and memory state lives in
-      preallocated int64 Bigarrays ({!State}); evaluation runs on unboxed
-      payloads with widths resolved at compile time, and the steady-state
-      step loop performs no minor-heap allocation under the [Bytecode]
-      style (see {!Flatcode});
-    - {e boxed} ([Boxed]): the historical one-[Bits.t]-per-value
-      representation, kept as the cost-model baseline for IFsim/VFsim and
-      as the reference for the representation benchmark.
-
-    Both representations produce identical traces and verdicts: scheduling
-    orders, nonblocking commit order, and arithmetic semantics are shared.
 
     and one of three scheduling styles:
 
@@ -46,12 +31,11 @@ open Rtlir
 
 type scheduler = Levelized | Fifo | Cycle_based
 
-type eval_style = Closures | Ast | Bytecode
+type eval_style = Closures | Bytecode
 
-type repr = Boxed | Flat
+type config = { eval : eval_style; scheduler : scheduler }
 
-type config = { eval : eval_style; scheduler : scheduler; repr : repr }
-
+(** [Closures], [Levelized]. *)
 val default_config : config
 
 type t

@@ -65,9 +65,6 @@ let mem_width t m = t.mem_widths.(m) [@@inline]
 let mem_size t m = t.mem_sizes.(m) [@@inline]
 let mem_words t = Bigarray.Array1.dim t.mem_v
 
-let get_bits t id = Bits.make t.widths.(id) (get t id)
-let get_mem_bits t m a = Bits.make t.mem_widths.(m) (get_mem t m a)
-
 let copy t =
   let sig_v = ba t.nsig in
   Bigarray.Array1.blit t.sig_v sig_v;

@@ -2,10 +2,10 @@
     preallocated [int64] Bigarrays (struct-of-arrays), one slot per value,
     masked payloads as defined by {!Rtlir.Bitops}.
 
-    This is the shared storage representation behind the flat simulator
-    backend and the concurrent engine's good network: widths live in
-    parallel [int] arrays (per signal / per memory), not per value, so a
-    read or write is a single unboxed Bigarray access. The record is
+    This is the storage representation of the concurrent engine's good
+    network: widths live in parallel [int] arrays (per signal / per
+    memory), not per value, so a read or write is a single unboxed Bigarray
+    access. The record is
     exposed so allocation-free hot loops can hit the Bigarrays directly
     with [Bigarray.Array1.unsafe_get]/[unsafe_set] instead of going through
     (possibly non-inlined) accessor calls. *)
@@ -40,11 +40,6 @@ val mem_size : t -> int -> int
 
 (** Total memory words across all memories. *)
 val mem_words : t -> int
-
-(* Boxed-compatibility reads (allocate). *)
-
-val get_bits : t -> int -> Bits.t
-val get_mem_bits : t -> int -> int -> Bits.t
 
 (** Deep copy (fresh Bigarrays). *)
 val copy : t -> t

@@ -26,4 +26,5 @@ let () =
       ("activation", Test_activation.suite);
       ("schedule", Test_schedule.suite);
       ("cli", Test_cli.suite);
+      ("ledger", Test_ledger.suite);
     ]

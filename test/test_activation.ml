@@ -203,26 +203,12 @@ let test_transient_clamps () =
 (* ---- randomized soundness property ---- *)
 
 (* First cycle the faulty network's output ports differ from the good
-   network's, under one serial-simulator value representation. [None] when
-   they never differ over the workload. *)
-let first_output_divergence ~repr g w (f : Fault.t) =
-  let sconfig =
-    { Sim.Simulator.eval = Sim.Simulator.Bytecode; scheduler = Sim.Simulator.Fifo; repr }
-  in
-  let force =
-    match f.Fault.stuck with
-    | Fault.Stuck_at_0 -> Some (f.Fault.signal, f.Fault.bit, false)
-    | Fault.Stuck_at_1 -> Some (f.Fault.signal, f.Fault.bit, true)
-    | Fault.Flip_at _ -> None
-  in
-  let good = Sim.Simulator.create ~config:sconfig g in
-  let bad = Sim.Simulator.create ~config:sconfig ?force g in
-  let on_cycle_start cyc =
-    match f.Fault.stuck with
-    | Fault.Flip_at at when at = cyc ->
-        Sim.Simulator.flip_bit bad f.Fault.signal f.Fault.bit
-    | _ -> ()
-  in
+   network's, both stepped in lockstep by the serial oracle's simulator.
+   [None] when they never differ over the workload. *)
+let first_output_divergence g w (f : Fault.t) =
+  let config = Baselines.Serial.ifsim_config in
+  let good = Sim.Simulator.create ~config g in
+  let bad, on_cycle_start = Baselines.Serial.faulty_sim ~config g f in
   let div = ref None in
   Workload.run ~on_cycle_start w
     ~set_input:(fun id v ->
@@ -271,8 +257,8 @@ let legacy_windows trace (g : Rtlir.Elaborate.t) faults =
      must reproduce);
    - statically-unobservable sites are never detected by the oracle;
    - the warm-started concurrent campaign reproduces the cold verdicts;
-   - the per-fault output-divergence oracle agrees between the Flat and
-     Boxed representations, and never diverges before the activation. *)
+   - the lockstep per-fault output-divergence oracle never diverges
+     before the activation. *)
 let check_scenario name g w faults =
   let n = Array.length faults in
   if n > 0 then begin
@@ -304,16 +290,12 @@ let check_scenario name g w faults =
       cold.Fault.detected <> warm.Fault.detected
       || cold.Fault.detection_cycle <> warm.Fault.detection_cycle
     then Alcotest.failf "%s: warm-started verdicts differ from cold" name;
-    (* sample a handful of faults for the lockstep repr oracle *)
+    (* sample a handful of faults for the lockstep oracle *)
     let step = max 1 (n / 8) in
     let i = ref 0 in
     while !i < n do
       let f = faults.(!i) in
-      let flat = first_output_divergence ~repr:Sim.Simulator.Flat g w f in
-      let boxed = first_output_divergence ~repr:Sim.Simulator.Boxed g w f in
-      if flat <> boxed then
-        Alcotest.failf "%s: fault %d repr oracles disagree" name f.Fault.fid;
-      (match flat with
+      (match first_output_divergence g w f with
       | Some c when acts.(!i) > c ->
           Alcotest.failf
             "%s: fault %d outputs diverge at %d before activation %d" name

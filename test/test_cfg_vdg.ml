@@ -201,10 +201,10 @@ let test_walk_soundness_random () =
   done;
   check bool_t "some redundant cases exercised" true (!checked > 20)
 
-(* the compiled CFG executor and the tree-walking interpreter perform the
+(* the compiled CFG executor and the bytecode interpreter perform the
    same writes in the same order, on the behavioral bodies of random
    designs *)
-let test_cfg_exec_equals_interp () =
+let test_cfg_exec_equals_bytecode () =
   for seed = 1 to 30 do
     let s = Harness.Rand_design.generate ~seed:(Int64.of_int (60_000 + seed)) () in
     let d = s.Harness.Rand_design.design in
@@ -251,12 +251,11 @@ let test_cfg_exec_equals_interp () =
         in
         let cp = Sim.Compile.proc ~mem_size:msz p.body in
         let compiled = run (fun r w -> Sim.Compile.exec cp r w) in
-        let interp = run (fun r w -> Sim.Interp.exec ~mem_size:msz r w p.body) in
         let bytecode =
           let sp = Sim.Bytecode.compile_stmt ~mem_size:msz p.body in
           run (fun r w -> Sim.Bytecode.exec sp r w)
         in
-        if compiled <> interp || compiled <> bytecode then
+        if compiled <> bytecode then
           Alcotest.failf "seed %d proc %s: executors disagree" seed p.pname)
       d.Design.procs
   done
@@ -290,7 +289,7 @@ let suite =
       test_walk_locals_are_skipped;
     Alcotest.test_case "walk soundness on random procs" `Quick
       test_walk_soundness_random;
-    Alcotest.test_case "cfg exec = interp = bytecode" `Quick
-      test_cfg_exec_equals_interp;
+    Alcotest.test_case "cfg exec = bytecode" `Quick
+      test_cfg_exec_equals_bytecode;
     Alcotest.test_case "vdg empty-node removal" `Quick test_vdg_compression;
   ]

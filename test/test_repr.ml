@@ -1,102 +1,17 @@
-(* Value-representation regression suite.
+(* Value-representation regression suite for the concurrent engine's
+   flat (unboxed int64) state:
 
-   Three pillars of the flat (unboxed int64) engine representation:
-
-   - the steady-state good-simulation cycle loop allocates no minor-heap
-     words under the flat bytecode path (the representation's raison
-     d'être — any boxing regression shows up as a nonzero delta);
-   - the flat and boxed backends are trace- and verdict-identical on the
-     real Table II circuits for every eval style (test_simulator already
-     sweeps random designs; this pins the benchmark circuits themselves);
+   - State.copy / State.blit isolate and round-trip, and a warm restore
+     from a good-trace snapshot reproduces the straight run and the serial
+     oracle;
    - the open-addressing diff stores behave exactly like the Hashtbl maps
      they replaced, under randomized operation sequences. *)
 
-open Rtlir
 open Sim
 
 let check = Alcotest.check
 let int_t = Alcotest.int
 let bool_t = Alcotest.bool
-
-(* ---- zero-allocation steady state ---- *)
-
-(* Division-free circuits: Divu/Modu are the flat machine's one documented
-   boxing exception (stdlib unsigned division), so the allocation-free
-   guarantee is stated over circuits that don't divide. *)
-let zero_alloc_circuit name =
-  let c = Circuits.find name in
-  let d, g, _, _ = Circuits.Bench_circuit.instantiate c ~scale:0.1 in
-  let config =
-    {
-      Simulator.eval = Simulator.Bytecode;
-      scheduler = Simulator.Levelized;
-      repr = Simulator.Flat;
-    }
-  in
-  let sim = Simulator.create ~config g in
-  let clk = Design.find_signal d "clk" in
-  let one = Bits.one 1 and zero = Bits.zero 1 in
-  (* Warm up: reach steady state (ring/NBA buffers at final size, stacks
-     grown, code paths compiled). *)
-  for _ = 1 to 50 do
-    Simulator.set_input sim clk one;
-    Simulator.step sim;
-    Simulator.set_input sim clk zero;
-    Simulator.step sim
-  done;
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    Simulator.set_input sim clk one;
-    Simulator.step sim;
-    Simulator.set_input sim clk zero;
-    Simulator.step sim
-  done;
-  let after = Gc.minor_words () in
-  check (Alcotest.float 0.0)
-    (Printf.sprintf "%s: steady-state cycles allocate nothing" name)
-    0.0 (after -. before)
-
-let test_zero_alloc_sha256 () = zero_alloc_circuit "sha256_hv"
-let test_zero_alloc_apb () = zero_alloc_circuit "apb"
-
-(* ---- boxed/flat equivalence on Table II circuits ---- *)
-
-let styles = [ Simulator.Closures; Simulator.Ast; Simulator.Bytecode ]
-
-let test_trace_equivalence () =
-  List.iter
-    (fun name ->
-      let c = Circuits.find name in
-      let _, g, w, _ = Circuits.Bench_circuit.instantiate c ~scale:0.05 in
-      let w = { w with Faultsim.Workload.cycles = min w.cycles 40 } in
-      List.iter
-        (fun eval ->
-          let trace repr =
-            Baselines.Serial.golden_trace
-              ~config:{ Simulator.eval; scheduler = Simulator.Levelized; repr }
-              g w
-          in
-          if trace Simulator.Boxed <> trace Simulator.Flat then
-            Alcotest.failf "%s: boxed and flat traces differ" name)
-        styles)
-    [ "alu"; "apb"; "sha256_hv" ]
-
-let test_verdict_equivalence () =
-  let c = Circuits.find "alu" in
-  let _, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale:0.1 in
-  List.iter
-    (fun eval ->
-      let run repr =
-        let r =
-          Baselines.Serial.run
-            ~config:{ Simulator.eval; scheduler = Simulator.Levelized; repr }
-            g w faults
-        in
-        (r.Faultsim.Fault.detected, r.Faultsim.Fault.detection_cycle)
-      in
-      if run Simulator.Boxed <> run Simulator.Flat then
-        Alcotest.failf "verdicts differ between representations")
-    styles
 
 (* ---- State.copy / State.blit ---- *)
 
@@ -138,7 +53,7 @@ let test_state_copy_blit () =
 (* Snapshot determinism at the engine level: capture the good trace, then
    warm-restore at a mid snapshot and run to the end — verdicts and
    detection cycles must equal the straight (cold) run, and both must
-   match the serial oracle under the flat AND boxed representations. *)
+   match the serial oracle. *)
 let snapshot_determinism name =
   let c = Circuits.find name in
   let _, g, w, _ = Circuits.Bench_circuit.instantiate c ~scale:0.05 in
@@ -183,21 +98,11 @@ let snapshot_determinism name =
   if verdicts warm <> verdicts cold then
     Alcotest.failf "%s: warm restore at cycle %d diverges from straight run"
       name start;
-  List.iter
-    (fun repr ->
-      let oracle =
-        Baselines.Serial.run
-          ~config:
-            { Simulator.eval = Simulator.Closures;
-              scheduler = Simulator.Levelized;
-              repr }
-          g w faults
-      in
-      if verdicts oracle <> verdicts warm then
-        Alcotest.failf "%s: warm verdicts disagree with the %s serial oracle"
-          name
-          (match repr with Simulator.Flat -> "flat" | Simulator.Boxed -> "boxed"))
-    [ Simulator.Flat; Simulator.Boxed ]
+  let oracle =
+    Baselines.Serial.run ~config:Simulator.default_config g w faults
+  in
+  if verdicts oracle <> verdicts warm then
+    Alcotest.failf "%s: warm verdicts disagree with the serial oracle" name
 
 let test_snapshot_determinism_alu () = snapshot_determinism "alu"
 let test_snapshot_determinism_sha () = snapshot_determinism "sha256_hv"
@@ -367,14 +272,6 @@ let test_diffstore_capacity_after_churn () =
 
 let suite =
   [
-    Alcotest.test_case "flat bytecode steady state allocates nothing (sha256)"
-      `Quick test_zero_alloc_sha256;
-    Alcotest.test_case "flat bytecode steady state allocates nothing (apb)"
-      `Quick test_zero_alloc_apb;
-    Alcotest.test_case "boxed and flat traces identical on Table II circuits"
-      `Quick test_trace_equivalence;
-    Alcotest.test_case "boxed and flat fault verdicts identical" `Quick
-      test_verdict_equivalence;
     Alcotest.test_case "State.copy and blit isolate and round-trip" `Quick
       test_state_copy_blit;
     Alcotest.test_case "snapshot restore equals straight run (alu)" `Quick

@@ -104,9 +104,8 @@ let test_force () =
   check int_t "stuck counter" 0 (peek_int sim (Design.find_signal d "o"))
 
 let test_all_configs_agree () =
-  let styles = [ Simulator.Closures; Simulator.Ast; Simulator.Bytecode ] in
+  let styles = [ Simulator.Closures; Simulator.Bytecode ] in
   let scheds = [ Simulator.Levelized; Simulator.Fifo; Simulator.Cycle_based ] in
-  let reprs = [ Simulator.Boxed; Simulator.Flat ] in
   for seed = 1 to 25 do
     let s = Harness.Rand_design.generate ~seed:(Int64.of_int (4000 + seed)) () in
     let g = s.Harness.Rand_design.graph in
@@ -119,12 +118,8 @@ let test_all_configs_agree () =
       (fun eval ->
         List.iter
           (fun scheduler ->
-            List.iter
-              (fun repr ->
-                let t = trace { Simulator.eval; scheduler; repr } in
-                if t <> base then
-                  Alcotest.failf "seed %d: config disagrees" seed)
-              reprs)
+            if trace { Simulator.eval; scheduler } <> base then
+              Alcotest.failf "seed %d: config disagrees" seed)
           scheds)
       styles
   done
@@ -145,7 +140,7 @@ let suite =
     Alcotest.test_case "negedge process" `Quick test_negedge;
     Alcotest.test_case "derived clock cascade" `Quick test_derived_clock;
     Alcotest.test_case "stuck-at force" `Quick test_force;
-    Alcotest.test_case "all 9 configs agree" `Quick test_all_configs_agree;
+    Alcotest.test_case "all 6 configs agree" `Quick test_all_configs_agree;
     Alcotest.test_case "proc execution counter" `Quick
       test_proc_executions_counted;
   ]
