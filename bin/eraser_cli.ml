@@ -186,7 +186,7 @@ let describe_cmd =
        ~doc:"Show a circuit's elaborated structure and CFG statistics.")
     Term.(const run $ circuit_arg)
 
-(* --- run --- *)
+(* --- worker and capture flags (campaign + chaos) --- *)
 
 let jobs_arg =
   Arg.(
@@ -206,6 +206,8 @@ let capture_mem_limit_arg =
           "Spill the $(b,--warmstart) good-trace capture to a disk-backed \
            memory map when its in-memory footprint exceeds $(docv) bytes. \
            Replay and reports are unchanged. Default: never spill.")
+
+(* --- run --- *)
 
 let run_cmd =
   let engine_arg =
@@ -228,8 +230,8 @@ let run_cmd =
       value & flag
       & info [ "verify" ]
           ~doc:
-            "Also run the serial oracle and check the detected-fault sets \
-             are identical.")
+            "Also run the serial oracle and check that the detected-fault \
+             sets and detection cycles are identical.")
   in
   let json_arg =
     Arg.(
@@ -238,43 +240,15 @@ let run_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Also write the full campaign result as JSON.")
   in
-  let warmstart_arg =
-    Arg.(
-      value & flag
-      & info [ "warmstart" ]
-          ~doc:
-            "Capture the good network's trace once and warm-start every \
-             batch from snapshots at each fault's activation window instead \
-             of re-simulating the good network; faults the cone-of-influence \
-             analysis proves statically undetectable are reported without \
-             being simulated. Verdicts are identical to the cold path. \
-             Concurrent engines only; ignored for ifsim and vfsim.")
-  in
   let run (c : Circuits.Bench_circuit.t) engine scale instrument verify json
-      jobs warmstart capture_mem_limit trace metrics =
+      trace metrics =
    guard @@ fun () ->
    with_obs ~trace ~metrics @@ fun () ->
-    if jobs < 1 then
-      raise
-        (H.Resilient.Campaign_error
-           (H.Resilient.Bad_workload
-              (Printf.sprintf "jobs must be positive, got %d" jobs)));
-    (match capture_mem_limit with
-    | Some l when l < 0 ->
-        raise
-          (H.Resilient.Campaign_error
-             (H.Resilient.Bad_workload
-                (Printf.sprintf "capture memory limit must be non-negative, \
-                                 got %d" l)))
-    | _ -> ());
     let design, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
     Format.printf "%s on %s: %d cycles, %d faults@."
       (H.Campaign.engine_name engine) c.name w.Workload.cycles
       (Array.length faults);
-    let r =
-      H.Campaign.run ~instrument ~jobs ~warmstart ?capture_mem_limit engine g
-        w faults
-    in
+    let r = H.Campaign.run ~instrument engine g w faults in
     Format.printf "  coverage   %.2f%% (%d/%d)@." r.Fault.coverage_pct
       (Fault.count_detected r) (Array.length faults);
     Format.printf "  wall time  %.3f s@." r.Fault.wall_time;
@@ -283,12 +257,6 @@ let run_cmd =
                    skip_implicit=%d@."
       s.Stats.bn_good s.Stats.bn_fault_exec s.Stats.bn_skipped_explicit
       s.Stats.bn_skipped_implicit;
-    if s.Stats.cone_pruned > 0 then
-      Format.printf "  cone       %d fault(s) statically pruned@."
-        s.Stats.cone_pruned;
-    if s.Stats.plan_batches > 0 then
-      Format.printf "  schedule   %d planned batch(es), %d snapshot(s)@."
-        s.Stats.plan_batches s.Stats.plan_snapshots;
     if instrument then
       Format.printf "  behavioral-node time %.0f%%@." (Stats.bn_time_pct s);
     let verdicts = Classify.classify g faults in
@@ -318,7 +286,12 @@ let run_cmd =
         let divergences = ref [] in
         Array.iteri
           (fun i (f : Fault.t) ->
-            if r.Fault.detected.(i) <> oracle.Fault.detected.(i) then
+            let ed = r.Fault.detected.(i) and od = oracle.Fault.detected.(i) in
+            if
+              ed <> od
+              || (ed && r.Fault.detection_cycle.(i)
+                        <> oracle.Fault.detection_cycle.(i))
+            then
               divergences :=
                 {
                   H.Resilient.div_fault = f.fid;
@@ -341,8 +314,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a fault-simulation campaign on one circuit.")
     Term.(
       const run $ circuit_arg $ engine_arg $ scale_arg $ instrument_arg
-      $ verify_arg $ json_arg $ jobs_arg $ warmstart_arg
-      $ capture_mem_limit_arg $ trace_arg $ metrics_arg)
+      $ verify_arg $ json_arg $ trace_arg $ metrics_arg)
 
 (* --- campaign (resilient runner) --- *)
 
@@ -778,12 +750,7 @@ let repro_cmd =
           ~doc:"Reproducer file written by a campaign with --repro-dir.")
   in
   let engine_of_name s =
-    List.find_opt
-      (fun e -> H.Campaign.engine_name e = s)
-      [
-        H.Campaign.Ifsim; H.Campaign.Vfsim; H.Campaign.Z01x_proxy;
-        H.Campaign.Eraser_mm; H.Campaign.Eraser_m; H.Campaign.Eraser;
-      ]
+    List.find_opt (fun e -> H.Campaign.engine_name e = s) H.Campaign.all_engines
   in
   let run file =
    guard @@ fun () ->
@@ -845,14 +812,12 @@ let repro_cmd =
     if Array.exists (fun id -> id < 0 || id >= Array.length faults) ids then
       bad "fault ids out of range for this circuit and scale";
     let w = { w with Workload.cycles } in
-    let renumber ids =
-      Array.mapi (fun i id -> { faults.(id) with Fault.fid = i }) ids
+    let index_of f =
+      Array.to_seqi ids
+      |> Seq.find_map (fun (i, id) -> if id = f then Some i else None)
     in
     let k =
-      match
-        Array.to_seqi ids
-        |> Seq.find_map (fun (i, id) -> if id = fault_id then Some i else None)
-      with
+      match index_of fault_id with
       | Some k -> k
       | None -> bad "divergent fault is not part of the reproducer set"
     in
@@ -860,25 +825,21 @@ let repro_cmd =
       file fault_id
       (Fault.describe design faults.(fault_id))
       (Array.length ids) cycles;
-    let er =
+    let config =
       match engine with
-      | H.Campaign.Ifsim -> Baselines.Serial.ifsim g w (renumber ids)
-      | H.Campaign.Vfsim -> Baselines.Serial.vfsim g w (renumber ids)
+      | H.Campaign.Ifsim | H.Campaign.Vfsim -> None
       | e ->
-          let cc =
+          Some
             {
               Engine.Concurrent.default_config with
               mode = H.Campaign.concurrent_mode e;
-              corrupt_verdict =
-                Option.bind inject (fun f ->
-                    Array.to_seqi ids
-                    |> Seq.find_map (fun (i, id) ->
-                           if id = f then Some i else None));
+              corrupt_verdict = Option.bind inject index_of;
             }
-          in
-          Engine.Concurrent.run_batch ~config:cc g w faults ~ids
     in
-    let oracle = Baselines.Serial.ifsim g w (renumber [| fault_id |]) in
+    let er = H.Campaign.dispatch ?config engine g w faults ~ids in
+    let oracle =
+      H.Campaign.dispatch H.Campaign.Ifsim g w faults ~ids:[| fault_id |]
+    in
     let ed = er.Fault.detected.(k)
     and ec = er.Fault.detection_cycle.(k)
     and od = oracle.Fault.detected.(0)

@@ -53,7 +53,15 @@ let () =
       (fun e ->
         check
           (Harness.Campaign.engine_name e ^ " warm")
-          (Harness.Campaign.run ~warmstart:true e g w faults))
+          (Harness.Resilient.run
+             ~config:
+               {
+                 Harness.Resilient.default_config with
+                 Harness.Resilient.engine = e;
+                 warmstart = true;
+               }
+             g w faults)
+            .Harness.Resilient.result)
       [ Harness.Campaign.Eraser_m; Harness.Campaign.Eraser ];
     if seed mod 100 = 0 then Printf.printf "... %d seeds done\n%!" seed
   done;

@@ -49,7 +49,8 @@ let dependency_node_count t =
 
 module Iset = Set.Make (Int)
 
-let redundant t ~good_choice ~eval_good ~eval_fault ~visible
+(* Algorithm 1 over masked int64 payloads (see {!Rtlir.Bitops}). *)
+let redundant_i t ~good_choice ~eval_good ~eval_fault ~visible
     ~mem_word_visible =
   let nodes = t.cfg.nodes in
   (* A memory-read site is fault-invisible when its address — recomputed
@@ -84,54 +85,7 @@ let redundant t ~good_choice ~eval_good ~eval_fault ~visible
             (* re-evaluate the selector under the faulty values (memory
                reads included — a changed word that does not flip the
                branch stays redundant) *)
-            Cfg.choose d (eval_fault d.selector) = gc
-        in
-        if not same_path then false else walk d.targets.(gc) written
-    | Cfg.Segment s ->
-        if not t.interesting.(cur) then walk t.next.(cur) written
-        else if
-          Array.exists
-            (fun r -> (not (Iset.mem r written)) && visible r)
-            s.reads
-          || not (Array.for_all (site_clean written) s.mem_sites)
-        then false
-        else
-          let written =
-            Array.fold_left (fun acc w -> Iset.add w acc) written s.blocking
-          in
-          walk t.next.(cur) written
-  in
-  walk t.cfg.entry Iset.empty
-
-(* Payload twin of {!redundant}: identical traversal, expression values as
-   masked int64 payloads (see {!Rtlir.Bitops}). *)
-let redundant_i t ~good_choice ~eval_good ~eval_fault ~visible
-    ~mem_word_visible =
-  let nodes = t.cfg.nodes in
-  let site_clean written (m, addr_e) =
-    (Iset.is_empty written
-    || not
-         (List.exists
-            (fun s -> Iset.mem s written)
-            (Expr.read_signals addr_e)))
-    && not (mem_word_visible m (eval_good addr_e))
-  in
-  let rec walk cur written =
-    match nodes.(cur) with
-    | Cfg.Exit -> true
-    | Cfg.Decision d ->
-        let gc = good_choice cur in
-        let reads_local =
-          Array.exists (fun s -> Iset.mem s written) d.sel_reads
-        in
-        let same_path =
-          if reads_local then
-            (not
-               (Array.exists
-                  (fun s -> (not (Iset.mem s written)) && visible s)
-                  d.sel_reads))
-            && Array.for_all (site_clean written) d.sel_mem_sites
-          else Cfg.choose_i d (eval_fault d.selector) = gc
+            Cfg.choose_i d (eval_fault d.selector) = gc
         in
         if not same_path then false else walk d.targets.(gc) written
     | Cfg.Segment s ->

@@ -35,10 +35,11 @@ val build : Cfg.t -> t
 (** Number of dependency nodes remaining after empty-node removal. *)
 val dependency_node_count : t -> int
 
-(** [redundant vdg ~good_choice ~eval_good ~eval_fault ~visible
+(** [redundant_i vdg ~good_choice ~eval_good ~eval_fault ~visible
     ~mem_word_visible] decides whether the faulty execution of the
     behavioral node can be skipped, given the good execution's recorded
-    decisions.
+    decisions. Expression values are masked int64 payloads (see
+    {!Rtlir.Bitops}); label matching is {!Cfg.choose_i}.
 
     - [good_choice id] is the target index the good execution took at
       decision node [id] (recorded during the good run);
@@ -55,18 +56,6 @@ val dependency_node_count : t -> int
     Returns [true] (redundant: skip the faulty execution) only if the faulty
     execution provably follows the same path and reads only fault-invisible
     data, hence writes exactly the good values. *)
-val redundant :
-  t ->
-  good_choice:(int -> int) ->
-  eval_good:(Expr.t -> Bits.t) ->
-  eval_fault:(Expr.t -> Bits.t) ->
-  visible:(int -> bool) ->
-  mem_word_visible:(int -> Bits.t -> bool) ->
-  bool
-
-(** Payload twin of {!redundant}: expression values are masked int64
-    payloads (the flat representation), label matching via
-    {!Cfg.choose_i}. Traversal and verdicts are identical. *)
 val redundant_i :
   t ->
   good_choice:(int -> int) ->

@@ -39,7 +39,7 @@ let chaos_corrupt_diff :
    every behavioral body and every continuous-assign expression, compiled
    once (in the payload-compiled form: widths resolved at compile time,
    values flow as masked int64 payloads). All per-campaign mutable state
-   lives inside {!run_i}, so a single instance can be reused across any
+   lives inside each {!run}, so a single instance can be reused across any
    number of sequential runs — the parallel harness gives each worker
    domain its own instance and reuses it for every batch that worker
    executes. Instances must not be shared across domains concurrently
@@ -1307,20 +1307,17 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
   end;
   Fault.make_result ~detected ~detection_cycle ~stats ~wall_time:wall ()
 
-let run_i ?config ?probe ?goodtrace inst w faults =
-  run_gmode ?config ?probe ?goodtrace ~capture_into:None inst w faults
-
-let run ?config ?probe ?goodtrace g w faults =
-  run_i ?config ?probe ?goodtrace (instance g) w faults
-
-let run_batch ?config ?probe ?goodtrace ?instance:existing g w faults ~ids =
-  let sub =
-    Array.mapi (fun i id -> { faults.(id) with Fault.fid = i }) ids
+let run ?config ?probe ?goodtrace ?instance:existing ?ids g w faults =
+  let faults =
+    match ids with
+    | None -> faults
+    | Some ids ->
+        Array.mapi (fun i id -> { faults.(id) with Fault.fid = i }) ids
   in
   let inst =
     match existing with Some inst -> inst | None -> instance g
   in
-  run_i ?config ?probe ?goodtrace inst w sub
+  run_gmode ?config ?probe ?goodtrace ~capture_into:None inst w faults
 
 let default_snapshot_every ~cycles = max 8 (cycles / 16)
 

@@ -73,6 +73,22 @@ val instance : Elaborate.t -> instance
     counters are in the result's [Stats.per_proc] (and, with metrics on,
     the [engine.proc.<name>.*] counters).
 
+    [?ids] runs only that subset of [faults]: the selected faults are
+    renumbered to dense ids [0..n-1] (the engine's indexing invariant) and
+    the result is indexed by position in [ids]. Because faulty networks
+    never interact, each fault's verdict equals its verdict in a
+    whole-list run — the property the resilient runner's batching relies
+    on. Without [?ids] the faults run as given and must already be
+    numbered [0..n-1].
+
+    [?instance] reuses a prebuilt {!instance} instead of recompiling the
+    design (the per-batch entry point of the parallel harness).
+
+    [?probe] — when given, [probe cycle view mem_view] is called at every
+    observation point; [view fault_id signal_id] reads the faulty network's
+    current value (good value overlaid with the fault's diffs). Used by the
+    differential tests to localise divergences.
+
     [?goodtrace] warm-starts the run from a captured good trace (see
     {!capture}): the good network is not re-simulated — its recorded
     writes are replayed through the engine's good-write seams, so
@@ -86,43 +102,11 @@ val run :
   ?config:config ->
   ?probe:(int -> (int -> int -> Bits.t) -> (int -> int -> int -> Bits.t) -> unit) ->
   ?goodtrace:Sim.Goodtrace.warm ->
-  Elaborate.t ->
-  Workload.t ->
-  Fault.t array ->
-  Fault.result
-
-(** [run ?probe] — when given, [probe cycle view mem_view] is called at every
-    observation point; [view fault_id signal_id] reads the faulty network's
-    current value (good value overlaid with the fault's diffs). Used by the
-    differential tests to localise divergences. *)
-
-(** [run_i inst w faults] — as {!run}, over a prebuilt {!instance} (skips
-    recompilation; the per-batch entry point of the parallel harness). *)
-val run_i :
-  ?config:config ->
-  ?probe:(int -> (int -> int -> Bits.t) -> (int -> int -> int -> Bits.t) -> unit) ->
-  ?goodtrace:Sim.Goodtrace.warm ->
-  instance ->
-  Workload.t ->
-  Fault.t array ->
-  Fault.result
-
-(** [run_batch g w faults ~ids] runs the subset [ids] of the campaign's
-    fault list: the selected faults are renumbered to dense ids [0..n-1]
-    (the engine's indexing invariant) and simulated together. The result is
-    indexed by position in [ids]; because faulty networks never interact,
-    each fault's verdict equals its verdict in a whole-list run — the
-    property the resilient runner's batching relies on. [?instance] reuses
-    a prebuilt instance instead of recompiling the design. *)
-val run_batch :
-  ?config:config ->
-  ?probe:(int -> (int -> int -> Bits.t) -> (int -> int -> int -> Bits.t) -> unit) ->
-  ?goodtrace:Sim.Goodtrace.warm ->
   ?instance:instance ->
+  ?ids:int array ->
   Elaborate.t ->
   Workload.t ->
   Fault.t array ->
-  ids:int array ->
   Fault.result
 
 (** The snapshot interval every campaign capture uses,

@@ -88,7 +88,11 @@ type result = {
 let count_detected r =
   Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 r.detected
 
-let same_verdict a b = a.detected = b.detected
+let same_verdict a b =
+  a.detected = b.detected
+  && Array.to_seqi a.detected
+     |> Seq.for_all (fun (i, d) ->
+            (not d) || a.detection_cycle.(i) = b.detection_cycle.(i))
 
 let make_result ~detected ?detection_cycle ~stats ~wall_time () =
   let n = Array.length detected in

@@ -51,7 +51,9 @@ type result = {
 
 val count_detected : result -> int
 
-(** [same_verdict a b] — detected sets are identical (engine equivalence). *)
+(** [same_verdict a b] — the verdict contract (engine equivalence): the
+    detected sets are identical and every detected fault was detected at
+    the same cycle in both. *)
 val same_verdict : result -> result -> bool
 
 val make_result :

@@ -146,12 +146,9 @@ let simple_stmt ~mem_size = function
 
 type t = {
   cfg : Cfg.t;
-  vdg : Vdg.t;
   segments : (Access.reader -> Access.writer -> unit) array array;
   selectors : compiled_expr array;
   choosers : (Bits.t -> int) array;
-  seg_sites : (int * int * compiled_expr) array array;
-  has_blocking : bool;
 }
 
 let chooser (d : Cfg.decision) : Bits.t -> int =
@@ -180,40 +177,24 @@ let chooser (d : Cfg.decision) : Bits.t -> int =
 
 let proc ~mem_size body =
   let cfg = Cfg.build body in
-  let vdg = Vdg.build cfg in
   let n = Array.length cfg.nodes in
   let segments = Array.make n [||] in
   let selectors = Array.make n (fun _ -> Bits.of_bool false) in
   let choosers = Array.make n (fun _ -> 0) in
-  let seg_sites = Array.make n [||] in
-  let has_blocking = ref false in
   Array.iteri
     (fun i node ->
       match node with
       | Cfg.Segment s ->
-          if Array.length s.blocking > 0 then has_blocking := true;
           segments.(i) <-
-            Array.of_list (List.map (simple_stmt ~mem_size) s.stmts);
-          seg_sites.(i) <-
-            Array.map
-              (fun (m, addr_e) -> (m, mem_size m, expr ~mem_size addr_e))
-              s.mem_sites
+            Array.of_list (List.map (simple_stmt ~mem_size) s.stmts)
       | Cfg.Decision d ->
           selectors.(i) <- expr ~mem_size d.selector;
           choosers.(i) <- chooser d
       | Cfg.Exit -> ())
     cfg.nodes;
-  {
-    cfg;
-    vdg;
-    segments;
-    selectors;
-    choosers;
-    seg_sites;
-    has_blocking = !has_blocking;
-  }
+  { cfg; segments; selectors; choosers }
 
-let exec t ?record reader writer =
+let exec t reader writer =
   let nodes = t.cfg.nodes in
   let rec walk cur =
     match nodes.(cur) with
@@ -225,9 +206,7 @@ let exec t ?record reader writer =
         done;
         walk s.succ
     | Cfg.Decision d ->
-        let choice = t.choosers.(cur) (t.selectors.(cur) reader) in
-        (match record with Some arr -> arr.(cur) <- choice | None -> ());
-        walk d.targets.(choice)
+        walk d.targets.(t.choosers.(cur) (t.selectors.(cur) reader))
   in
   walk t.cfg.entry
 

@@ -5,9 +5,10 @@
     Expressions compile once into nested closures; repeated evaluation then
     skips AST dispatch. Behavioral bodies compile into their CFG form:
     segments become closure sequences, decisions become a compiled selector
-    plus a branch chooser. The compiled proc doubles as the runtime carrier
-    for Algorithm 1: it records the good execution's decisions and exposes
-    the VDG and per-decision fault evaluation hooks. *)
+    plus a branch chooser. The payload-compiled proc ({!ti}, the
+    concurrent engine's form) doubles as the runtime carrier for
+    Algorithm 1: it records the good execution's decisions and exposes the
+    VDG and per-decision fault evaluation hooks. *)
 
 open Rtlir
 open Flow
@@ -18,29 +19,17 @@ val expr : mem_size:(int -> int) -> Expr.t -> compiled_expr
 
 type t = {
   cfg : Cfg.t;
-  vdg : Vdg.t;
   segments : (Access.reader -> Access.writer -> unit) array array;
       (** per CFG node id: compiled simple statements (segments only) *)
   selectors : compiled_expr array;  (** per CFG node id (decisions only) *)
   choosers : (Bits.t -> int) array;  (** per CFG node id (decisions only) *)
-  seg_sites : (int * int * compiled_expr) array array;
-      (** per CFG node id (segments only): memory-read sites as (memory,
-          word count, compiled address) — evaluated under the {e good}
-          reader by the redundancy walk *)
-  has_blocking : bool;
-      (** body contains blocking writes: the redundancy walk must track the
-          locally-written set *)
 }
 
-(** Compile a behavioral body. *)
+(** Compile a behavioral body (the single-network simulator's form). *)
 val proc : mem_size:(int -> int) -> Stmt.t -> t
 
-(** [exec t ?record reader writer] walks the CFG executing segments; when
-    [record] is given, the chosen target index of every traversed decision
-    node is stored at its node id (the good-path record Algorithm 1 walks
-    against). *)
-val exec :
-  t -> ?record:int array -> Access.reader -> Access.writer -> unit
+(** [exec t reader writer] walks the CFG executing segments. *)
+val exec : t -> Access.reader -> Access.writer -> unit
 
 (* --- payload-compiled family: same artifacts over unboxed int64 payloads,
    with widths resolved at compile time (see {!Rtlir.Bitops}) --- *)
@@ -63,7 +52,12 @@ type ti = {
       (** label matching is payload equality: case labels share the
           scrutinee's width by design validation *)
   iseg_sites : (int * int * compiled_expr_i) array array;
+      (** per CFG node id (segments only): memory-read sites as (memory,
+          word count, compiled address) — evaluated under the {e good}
+          reader by the redundancy walk *)
   ihas_blocking : bool;
+      (** body contains blocking writes: the redundancy walk must track the
+          locally-written set *)
 }
 
 val proc_i :
@@ -73,6 +67,10 @@ val proc_i :
   Stmt.t ->
   ti
 
+(** [exec_i t ?record reader writer] walks the CFG executing segments; when
+    [record] is given, the chosen target index of every traversed decision
+    node is stored at its node id (the good-path record Algorithm 1 walks
+    against). *)
 val exec_i :
   ti -> ?record:int array -> Access.ireader -> Access.iwriter -> unit
 

@@ -14,6 +14,13 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
+(* A warm-started Eraser campaign through the batched runner. *)
+let warm_run g w faults =
+  (H.Resilient.run
+     ~config:{ H.Resilient.default_config with H.Resilient.warmstart = true }
+     g w faults)
+    .H.Resilient.result
+
 (* clk -> [ff q] -> o, plus a register no path connects to any output and
    an input port nothing ever drives *)
 let cone_design () =
@@ -195,7 +202,7 @@ let test_transient_clamps () =
     acts.(2);
   (* clamped windows stay sound end to end *)
   let cold = H.Campaign.run H.Campaign.Eraser g w faults in
-  let warm = H.Campaign.run ~warmstart:true H.Campaign.Eraser g w faults in
+  let warm = warm_run g w faults in
   check bool_t "warm verdicts equal cold under clamping" true
     (cold.Fault.detected = warm.Fault.detected
     && cold.Fault.detection_cycle = warm.Fault.detection_cycle)
@@ -285,7 +292,7 @@ let check_scenario name g w faults =
         end)
       faults;
     let cold = H.Campaign.run H.Campaign.Eraser g w faults in
-    let warm = H.Campaign.run ~warmstart:true H.Campaign.Eraser g w faults in
+    let warm = warm_run g w faults in
     if
       cold.Fault.detected <> warm.Fault.detected
       || cold.Fault.detection_cycle <> warm.Fault.detection_cycle

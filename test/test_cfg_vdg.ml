@@ -59,12 +59,16 @@ let test_choose () =
   check int_t "case match" 0 (Cfg.choose cased (Bits.of_int 4 2));
   check int_t "case default" 1 (Cfg.choose cased (Bits.of_int 4 7))
 
-(* Drive the walk with explicit value environments. *)
+(* Drive the walk with explicit value environments (masked int64
+   payloads, the representation the engine walks over). *)
+let width i = if i = 2 then 1 else if i = 3 then 4 else 16
+
 let walk ~good ~fault =
   let ev env e =
-    Sim.Eval.eval
+    Sim.Eval.eval_i ~sig_width:width
+      ~mem_width:(fun _ -> 8)
       ~mem_size:(fun _ -> 1)
-      { Sim.Access.get = (fun i -> env i); get_mem = (fun _ _ -> Bits.make 8 0L) }
+      { Sim.Access.iget = env; iget_mem = (fun _ _ -> 0L) }
       e
   in
   (* record good choices by walking decisions with good values *)
@@ -72,25 +76,22 @@ let walk ~good ~fault =
   Array.iteri
     (fun i n ->
       match n with
-      | Cfg.Decision d -> record.(i) <- Cfg.choose d (ev good d.Cfg.selector)
+      | Cfg.Decision d -> record.(i) <- Cfg.choose_i d (ev good d.Cfg.selector)
       | _ -> ())
     cfg.Cfg.nodes;
-  Vdg.redundant vdg
+  Vdg.redundant_i vdg
     ~good_choice:(fun i -> record.(i))
     ~eval_good:(ev good)
     ~eval_fault:(ev fault)
-    ~visible:(fun s -> not (Bits.equal (good s) (fault s)))
+    ~visible:(fun s -> good s <> fault s)
     ~mem_word_visible:(fun _ _ -> false)
 
-let base i =
-  Bits.make
-    (if i = 2 then 1 else if i = 3 then 4 else 16)
-    (Int64.of_int (i + 1))
+let payload i v = Bits.to_int64 (Bits.make (width i) (Int64.of_int v))
+let base i = payload i (i + 1)
 
 let with_ overrides i =
   match List.assoc_opt i overrides with
-  | Some v ->
-      Bits.make (if i = 2 then 1 else if i = 3 then 4 else 16) (Int64.of_int v)
+  | Some v -> payload i v
   | None -> base i
 
 let test_walk_redundant_offpath () =
@@ -131,66 +132,67 @@ let test_walk_soundness_random () =
   for seed = 1 to 40 do
     let s = Harness.Rand_design.generate ~seed:(Int64.of_int (9000 + seed)) () in
     let d = s.Harness.Rand_design.design in
-    let msz m = d.Design.mems.(m).Design.size in
+    let sig_width = Design.signal_width d in
+    let mem_width m = d.Design.mems.(m).Design.data_width in
+    let mem_size m = d.Design.mems.(m).Design.size in
     let vals =
       Array.init (Design.num_signals d) (fun i ->
-          Bits.make (Design.signal_width d i) (Int64.of_int (i * 131)))
+          Bits.to_int64 (Bits.make (sig_width i) (Int64.of_int (i * 131))))
     in
     let mems =
       Array.map
         (fun (m : Design.mem) ->
           match m.Design.init with
-          | Some a -> Array.copy a
+          | Some a -> Array.map Bits.to_int64 a
           | None ->
               Array.init m.Design.size (fun a ->
-                  Bits.make m.Design.data_width (Int64.of_int (a * 7))))
+                  Bits.to_int64
+                    (Bits.make m.Design.data_width (Int64.of_int (a * 7)))))
         d.Design.mems
     in
     (* faulty view: flip one bit of one signal *)
     let rng = Faultsim.Rng.create (Int64.of_int seed) in
     let fsig = Faultsim.Rng.int rng (Design.num_signals d) in
-    let fbit = Faultsim.Rng.int rng (Design.signal_width d fsig) in
+    let fbit = Faultsim.Rng.int rng (sig_width fsig) in
     let fault_val i =
-      if i = fsig then
-        Bits.force_bit vals.(i) fbit (not (Bits.bit vals.(i) fbit))
+      if i = fsig then Int64.logxor vals.(i) (Int64.shift_left 1L fbit)
       else vals.(i)
     in
     let good_r =
-      { Sim.Access.get = (fun i -> vals.(i)); get_mem = (fun m a -> mems.(m).(a)) }
+      { Sim.Access.iget = (fun i -> vals.(i)); iget_mem = (fun m a -> mems.(m).(a)) }
     in
     let fault_r =
-      {
-        Sim.Access.get = (fun i -> fault_val i);
-        get_mem = (fun m a -> mems.(m).(a));
-      }
+      { Sim.Access.iget = fault_val; iget_mem = (fun m a -> mems.(m).(a)) }
     in
+    let eval r e = Sim.Eval.eval_i ~sig_width ~mem_width ~mem_size r e in
     Array.iter
       (fun (p : Design.proc) ->
         if p.trigger <> Design.Comb then begin
-          let cp = Sim.Compile.proc ~mem_size:msz p.body in
-          let record = Array.make (Array.length cp.Sim.Compile.cfg.Cfg.nodes) 0 in
+          let cp = Sim.Compile.proc_i ~sig_width ~mem_width ~mem_size p.body in
+          let record =
+            Array.make (Array.length cp.Sim.Compile.icfg.Cfg.nodes) 0
+          in
           (* collect good writes *)
           let wr log =
             {
-              Sim.Access.set_blocking = (fun _ _ -> assert false);
-              set_nonblocking = (fun id v -> log := (`S id, v) :: !log);
-              write_mem = (fun m a v -> log := (`M (m, a), v) :: !log);
+              Sim.Access.iset_blocking = (fun _ _ -> assert false);
+              iset_nonblocking = (fun id v -> log := (`S id, v) :: !log);
+              iwrite_mem = (fun m a v -> log := (`M (m, a), v) :: !log);
             }
           in
           let glog = ref [] in
-          Sim.Compile.exec cp ~record good_r (wr glog);
+          Sim.Compile.exec_i cp ~record good_r (wr glog);
           let redundant =
-            Vdg.redundant cp.Sim.Compile.vdg
+            Vdg.redundant_i cp.Sim.Compile.ivdg
               ~good_choice:(fun i -> record.(i))
-              ~eval_good:(fun e -> Sim.Eval.eval ~mem_size:msz good_r e)
-              ~eval_fault:(fun e -> Sim.Eval.eval ~mem_size:msz fault_r e)
-              ~visible:(fun s -> not (Bits.equal vals.(s) (fault_val s)))
+              ~eval_good:(eval good_r) ~eval_fault:(eval fault_r)
+              ~visible:(fun s -> vals.(s) <> fault_val s)
               ~mem_word_visible:(fun _ _ -> false)
           in
           if redundant then begin
             incr checked;
             let flog = ref [] in
-            Sim.Compile.exec cp fault_r (wr flog);
+            Sim.Compile.exec_i cp fault_r (wr flog);
             if !glog <> !flog then
               Alcotest.failf
                 "seed %d proc %s: walk said redundant but writes differ" seed

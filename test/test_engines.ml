@@ -195,7 +195,17 @@ let test_multi_writer_memory () =
     (fun warmstart ->
       List.iter
         (fun e ->
-          let r = H.Campaign.run ~warmstart e g w faults in
+          let r =
+            (H.Resilient.run
+               ~config:
+                 {
+                   H.Resilient.default_config with
+                   H.Resilient.engine = e;
+                   warmstart;
+                 }
+               g w faults)
+              .H.Resilient.result
+          in
           let name =
             Printf.sprintf "%s (%s)" (H.Campaign.engine_name e)
               (if warmstart then "warm" else "cold")

@@ -65,6 +65,22 @@ let test_result_helpers () =
   check (Alcotest.float 0.01) "mean latency" 6.0
     (Fault.mean_detection_latency r)
 
+(* The verdict contract covers detection cycles: the same detected set
+   with one detection at a different cycle is a different verdict, while
+   the cycles of undetected faults do not take part. *)
+let test_same_verdict_cycles () =
+  let stats = Stats.create () in
+  let result detection_cycle =
+    Fault.make_result ~detected:[| true; false; true |] ~detection_cycle
+      ~stats ~wall_time:0.0 ()
+  in
+  let r = result [| 3; -1; 5 |] in
+  check bool_t "same cycles" true (Fault.same_verdict r (result [| 3; -1; 5 |]));
+  check bool_t "one detection later" false
+    (Fault.same_verdict r (result [| 3; -1; 6 |]));
+  check bool_t "undetected cycle ignored" true
+    (Fault.same_verdict r (result [| 3; 7; 5 |]))
+
 let test_stats_accounting () =
   let s = Stats.create () in
   s.Stats.bn_fault_exec <- 10;
@@ -168,6 +184,8 @@ let suite =
     Alcotest.test_case "generate sampled" `Quick test_generate_sampled;
     Alcotest.test_case "force" `Quick test_force;
     Alcotest.test_case "result helpers" `Quick test_result_helpers;
+    Alcotest.test_case "same_verdict compares detection cycles" `Quick
+      test_same_verdict_cycles;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
     Alcotest.test_case "stats merge keys per_proc by name" `Quick
       test_stats_add_merges_per_proc;

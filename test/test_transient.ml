@@ -191,7 +191,15 @@ let check_cold_and_warm g w faults =
               (Printf.sprintf "%s %s" (H.Campaign.engine_name e)
                  (if warmstart then "warm" else "cold"))
             oracle
-            (H.Campaign.run ~warmstart e g w faults))
+            (H.Resilient.run
+               ~config:
+                 {
+                   H.Resilient.default_config with
+                   H.Resilient.engine = e;
+                   warmstart;
+                 }
+               g w faults)
+              .H.Resilient.result)
         [ H.Campaign.Eraser; H.Campaign.Eraser_m; H.Campaign.Eraser_mm ])
     [ false; true ];
   oracle

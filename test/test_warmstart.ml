@@ -33,7 +33,18 @@ let test_warm_byte_identical () =
       let cold_s = render_verdicts ~design:d ~engine ~faults cold in
       List.iter
         (fun jobs ->
-          let warm = H.Campaign.run ~jobs ~warmstart:true engine g w faults in
+          let warm =
+            (H.Resilient.run
+               ~config:
+                 {
+                   H.Resilient.default_config with
+                   H.Resilient.engine;
+                   jobs;
+                   warmstart = true;
+                 }
+               g w faults)
+              .H.Resilient.result
+          in
           let warm_s = render_verdicts ~design:d ~engine ~faults warm in
           if warm_s <> cold_s then
             Alcotest.failf
@@ -51,8 +62,8 @@ let test_warm_byte_identical () =
     concurrent_engines
 
 (* Activation-window batching: transient faults spread evenly over the
-   workload force distinct activation windows; with two workers the later
-   chunk's earliest activation is past the first snapshot, so the dead
+   workload force distinct activation windows; in batches of 8 the later
+   batch's earliest activation is past the first snapshot, so the dead
    prefix must actually be skipped — and verdicts still match cold. *)
 let test_transient_windows_skip_prefix () =
   let c = Circuits.find "alu" in
@@ -70,7 +81,19 @@ let test_transient_windows_skip_prefix () =
   in
   let engine = H.Campaign.Eraser in
   let cold = H.Campaign.run engine g w faults in
-  let warm = H.Campaign.run ~jobs:2 ~warmstart:true engine g w faults in
+  let warm =
+    (H.Resilient.run
+       ~config:
+         {
+           H.Resilient.default_config with
+           H.Resilient.engine;
+           jobs = 2;
+           batch_size = 8;
+           warmstart = true;
+         }
+       g w faults)
+      .H.Resilient.result
+  in
   Alcotest.(check string)
     "transient verdicts identical"
     (render_verdicts ~design:d ~engine ~faults cold)
@@ -101,9 +124,9 @@ let test_warm_batch_equals_cold_batch () =
   if start <= 0 then
     Alcotest.failf "test premise broken: expected a mid snapshot, got %d" start;
   let ids = Array.init (Array.length faults) (fun i -> i) in
-  let cold = Engine.Concurrent.run_batch ~config g w faults ~ids in
+  let cold = Engine.Concurrent.run ~config g w faults ~ids in
   let warm =
-    Engine.Concurrent.run_batch ~config
+    Engine.Concurrent.run ~config
       ~goodtrace:{ Sim.Goodtrace.trace; start }
       g w faults ~ids
   in
