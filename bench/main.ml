@@ -44,10 +44,6 @@ let fig7 ~scale =
     ppf
     (H.Experiments.fig7 ~scale)
 
-let ablation ~scale =
-  Format.fprintf ppf "@.";
-  H.Report.mem_ablation ppf (H.Experiments.mem_ablation ~scale)
-
 let () =
   let scale = ref 0.5 in
   let cmds = ref [] in
@@ -67,7 +63,7 @@ let () =
   (try parse 1
    with _ ->
      prerr_endline
-       "usage: main [table1|table2|table3|fig1b|fig6|fig7|ablation] \
+       "usage: main [table1|table2|table3|fig1b|fig6|fig7] \
         [--scale S]");
   let cmds = if !cmds = [] then [ "all" ] else List.rev !cmds in
   let scale = !scale in
@@ -81,14 +77,12 @@ let () =
       | "fig1b" -> fig1b ~scale
       | "fig6" -> fig6 ~scale
       | "fig7" -> fig7 ~scale
-      | "ablation" -> ablation ~scale
       | "all" ->
           table1 ();
           table2 ~scale;
           fig1b ~scale;
           fig6 ~scale;
           fig7 ~scale;
-          table3 ~scale;
-          ablation ~scale
+          table3 ~scale
       | other -> Format.fprintf ppf "unknown experiment %S@." other)
     cmds

@@ -70,10 +70,12 @@ let guard f =
 (* NaN, infinities and non-positive scales would silently run the
    minimum-size workload (or overflow the scaled counts), so they are
    usage errors like any other malformed argument. *)
+let valid_scale x = Float.is_finite x && x > 0.0
+
 let scale_conv =
   let parse s =
     match float_of_string_opt s with
-    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | Some x when valid_scale x -> Ok x
     | _ ->
         Error
           (`Msg
@@ -196,16 +198,6 @@ let jobs_arg =
           "Worker domains. Faults are partitioned across $(docv) parallel \
            engine instances; verdicts and reports are identical for any \
            $(docv).")
-
-let capture_mem_limit_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "capture-mem-limit" ] ~docv:"BYTES"
-        ~doc:
-          "Spill the $(b,--warmstart) good-trace capture to a disk-backed \
-           memory map when its in-memory footprint exceeds $(docv) bytes. \
-           Replay and reports are unchanged. Default: never spill.")
 
 (* --- run --- *)
 
@@ -440,8 +432,8 @@ let campaign_cmd =
   in
   let run (c : Circuits.Bench_circuit.t) engine scale batch journal resume
       oracle_sample batch_timeout cycle_budget max_retries no_quarantine
-      inject json jobs warmstart capture_mem_limit verdicts_out trace metrics
-      progress supervise repro_dir =
+      inject json jobs warmstart verdicts_out trace metrics progress supervise
+      repro_dir =
    guard @@ fun () ->
    with_obs ~trace ~metrics @@ fun () ->
     let design, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
@@ -464,7 +456,6 @@ let campaign_cmd =
         repro_dir;
         repro_meta = Some (c.name, scale);
         warmstart;
-        capture_mem_limit;
       }
     in
     Format.printf "resilient %s on %s: %d cycles, %d faults, batches of %d@."
@@ -580,9 +571,8 @@ let campaign_cmd =
       const run $ circuit_arg $ engine_arg $ scale_arg $ batch_arg
       $ journal_arg $ resume_arg $ oracle_sample_arg $ batch_timeout_arg
       $ cycle_budget_arg $ max_retries_arg $ no_quarantine_arg $ inject_arg
-      $ json_arg $ jobs_arg $ warmstart_arg $ capture_mem_limit_arg
-      $ verdicts_arg $ trace_arg $ metrics_arg $ progress_arg $ supervise_arg
-      $ repro_dir_arg)
+      $ json_arg $ jobs_arg $ warmstart_arg $ verdicts_arg $ trace_arg
+      $ metrics_arg $ progress_arg $ supervise_arg $ repro_dir_arg)
 
 (* --- chaos --- *)
 
@@ -741,6 +731,73 @@ let chaos_cmd =
 
 (* --- repro --- *)
 
+(* A reproducer file's fields. *)
+type repro = {
+  rp_circuit : string;
+  rp_scale : float;
+  rp_engine : string;
+  rp_fault : int;
+  rp_ids : int array;
+  rp_cycles : int;
+  rp_inject : int option;
+  rp_engine_detected : bool;
+  rp_engine_cycle : int;
+  rp_oracle_detected : bool;
+  rp_oracle_cycle : int;
+}
+
+let bad_repro file msg =
+  raise
+    (H.Resilient.Campaign_error
+       (H.Resilient.Bad_workload (Printf.sprintf "repro file %s: %s" file msg)))
+
+(* Every field is read and range-checked here, so a malformed file fails
+   as a bad workload before anything is simulated. *)
+let read_repro file src =
+  let bad msg = bad_repro file msg in
+  let rp =
+    try
+      let j = H.Jsonl.parse (String.trim src) in
+      if
+        (match H.Jsonl.member "type" j with
+        | Some (H.Jsonl.String "repro") -> false
+        | _ -> true)
+        || H.Jsonl.get_int "version" j <> 1
+      then bad "not a version-1 repro record";
+      let obj name =
+        match H.Jsonl.member name j with
+        | Some (H.Jsonl.Obj _ as o) -> o
+        | _ when name = "circuit" ->
+            bad "no circuit metadata (campaign ran without a bench circuit)"
+        | _ -> bad (Printf.sprintf "missing or non-object field %S" name)
+      in
+      {
+        rp_circuit = H.Jsonl.get_string "name" (obj "circuit");
+        rp_scale = H.Jsonl.get_float "scale" (obj "circuit");
+        rp_engine = H.Jsonl.get_string "engine" j;
+        rp_fault = H.Jsonl.get_int "id" (obj "fault");
+        rp_ids =
+          Array.of_list (List.map H.Jsonl.to_int (H.Jsonl.get_list "ids" j));
+        rp_cycles = H.Jsonl.get_int "cycles" j;
+        rp_inject =
+          (match H.Jsonl.member "inject" j with
+          | Some (H.Jsonl.Int i) -> Some i
+          | _ -> None);
+        rp_engine_detected = H.Jsonl.get_bool "engine_detected" j;
+        rp_engine_cycle = H.Jsonl.get_int "engine_cycle" j;
+        rp_oracle_detected = H.Jsonl.get_bool "oracle_detected" j;
+        rp_oracle_cycle = H.Jsonl.get_int "oracle_cycle" j;
+      }
+    with H.Jsonl.Parse_error m -> bad m
+  in
+  if not (valid_scale rp.rp_scale) then
+    bad
+      (Printf.sprintf "invalid scale %g: expected a finite number > 0"
+         rp.rp_scale);
+  if rp.rp_cycles < 0 then
+    bad (Printf.sprintf "negative cycle count %d" rp.rp_cycles);
+  rp
+
 let repro_cmd =
   let file_arg =
     Arg.(
@@ -760,55 +817,23 @@ let repro_cmd =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    let j =
-      try H.Jsonl.parse (String.trim src)
-      with H.Jsonl.Parse_error m ->
-        raise
-          (H.Resilient.Campaign_error
-             (H.Resilient.Bad_workload
-                (Printf.sprintf "unreadable repro file %s: %s" file m)))
-    in
-    let bad msg =
-      raise
-        (H.Resilient.Campaign_error
-           (H.Resilient.Bad_workload
-              (Printf.sprintf "repro file %s: %s" file msg)))
-    in
-    if
-      (match H.Jsonl.member "type" j with
-      | Some (H.Jsonl.String "repro") -> false
-      | _ -> true)
-      || H.Jsonl.get_int "version" j <> 1
-    then bad "not a version-1 repro record";
-    let circuit =
-      match H.Jsonl.member "circuit" j with
-      | Some (H.Jsonl.Obj _ as cj) ->
-          (H.Jsonl.get_string "name" cj, H.Jsonl.get_float "scale" cj)
-      | _ -> bad "no circuit metadata (campaign ran without a bench circuit)"
-    in
-    let cname, scale = circuit in
+    let bad msg = bad_repro file msg in
+    let rp = read_repro file src in
     let c =
-      match Circuits.find cname with
+      match Circuits.find rp.rp_circuit with
       | c -> c
-      | exception Not_found -> bad (Printf.sprintf "unknown circuit %S" cname)
+      | exception Not_found ->
+          bad (Printf.sprintf "unknown circuit %S" rp.rp_circuit)
     in
     let engine =
-      match engine_of_name (H.Jsonl.get_string "engine" j) with
+      match engine_of_name rp.rp_engine with
       | Some e -> e
-      | None ->
-          bad (Printf.sprintf "unknown engine %S" (H.Jsonl.get_string "engine" j))
+      | None -> bad (Printf.sprintf "unknown engine %S" rp.rp_engine)
     in
-    let fault_id = H.Jsonl.get_int "id" (Option.get (H.Jsonl.member "fault" j)) in
-    let ids =
-      Array.of_list (List.map H.Jsonl.to_int (H.Jsonl.get_list "ids" j))
+    let fault_id = rp.rp_fault and ids = rp.rp_ids and cycles = rp.rp_cycles in
+    let design, g, w, faults =
+      Circuits.Bench_circuit.instantiate c ~scale:rp.rp_scale
     in
-    let cycles = H.Jsonl.get_int "cycles" j in
-    let inject =
-      match H.Jsonl.member "inject" j with
-      | Some (H.Jsonl.Int i) -> Some i
-      | _ -> None
-    in
-    let design, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
     if Array.exists (fun id -> id < 0 || id >= Array.length faults) ids then
       bad "fault ids out of range for this circuit and scale";
     let w = { w with Workload.cycles } in
@@ -833,7 +858,7 @@ let repro_cmd =
             {
               Engine.Concurrent.default_config with
               mode = H.Campaign.concurrent_mode e;
-              corrupt_verdict = Option.bind inject index_of;
+              corrupt_verdict = Option.bind rp.rp_inject index_of;
             }
     in
     let er = H.Campaign.dispatch ?config engine g w faults ~ids in
@@ -848,18 +873,14 @@ let repro_cmd =
       if d then Printf.sprintf "detected@%d" cyc else "live"
     in
     Format.printf "  engine     %s (recorded %s)@." (verdict ed ec)
-      (verdict
-         (H.Jsonl.get_bool "engine_detected" j)
-         (H.Jsonl.get_int "engine_cycle" j));
+      (verdict rp.rp_engine_detected rp.rp_engine_cycle);
     Format.printf "  oracle     %s (recorded %s)@." (verdict od oc)
-      (verdict
-         (H.Jsonl.get_bool "oracle_detected" j)
-         (H.Jsonl.get_int "oracle_cycle" j));
+      (verdict rp.rp_oracle_detected rp.rp_oracle_cycle);
     let matches =
-      ed = H.Jsonl.get_bool "engine_detected" j
-      && ec = H.Jsonl.get_int "engine_cycle" j
-      && od = H.Jsonl.get_bool "oracle_detected" j
-      && oc = H.Jsonl.get_int "oracle_cycle" j
+      ed = rp.rp_engine_detected
+      && ec = rp.rp_engine_cycle
+      && od = rp.rp_oracle_detected
+      && oc = rp.rp_oracle_cycle
     in
     let diverges = ed <> od || (ed && ec <> oc) in
     if matches && diverges then begin

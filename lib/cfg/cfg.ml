@@ -124,27 +124,15 @@ let build body =
   in
   { nodes; entry; exit_id; n_decisions; n_segments }
 
-let choose d v =
-  match d.labels with
-  | None -> if Bits.is_true v then 0 else 1
-  | Some labels ->
-      let n = Array.length labels in
-      let rec scan i =
-        if i >= n then n (* default target *)
-        else if Bits.equal labels.(i) v then i
-        else scan (i + 1)
-      in
-      scan 0
-
-(* Payload variant: labels share the scrutinee's width (design validation),
-   so payload equality is full equality. *)
+(* Labels share the scrutinee's width (design validation), so payload
+   equality is full equality. *)
 let choose_i d v =
   match d.labels with
   | None -> if v <> 0L then 0 else 1
   | Some labels ->
       let n = Array.length labels in
       let rec scan i =
-        if i >= n then n
+        if i >= n then n (* default target *)
         else if Int64.equal (Bits.to_int64 labels.(i)) v then i
         else scan (i + 1)
       in

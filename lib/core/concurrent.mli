@@ -35,10 +35,6 @@ val mode_name : mode -> string
 type config = {
   mode : mode;
   instrument : bool;
-  exact_mem_check : bool;
-      (** per-word memory visibility in the Algorithm 1 walk (the default);
-          [false] falls back to the conservative whole-memory rule — the
-          ablation axis DESIGN.md calls out *)
   corrupt_verdict : int option;
       (** debug knob: flip the verdict of this fault id after the run,
           simulating an engine bug. Used to exercise the resilient runner's

@@ -12,12 +12,13 @@ exception Budget_exceeded of { cycle : int; reason : string }
 
 let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid_workload s)) fmt
 
-let run ?(on_cycle_start = fun _ -> ()) w ~set_input ~step ~observe =
+let run ?(on_cycle_start = fun _ -> ()) ?(first_cycle = 0) w ~set_input ~step
+    ~observe =
   if w.cycles < 0 then
     invalid "negative cycle count %d (a workload runs 0 or more cycles)"
       w.cycles;
   let continue = ref true in
-  let cycle = ref 0 in
+  let cycle = ref first_cycle in
   while !continue && !cycle < w.cycles do
     on_cycle_start !cycle;
     List.iter (fun (id, v) -> set_input id v) (w.drive !cycle);

@@ -27,10 +27,13 @@ exception Budget_exceeded of { cycle : int; reason : string }
 (** [run w ~set_input ~step ~observe] executes the protocol against an
     engine. [observe cycle] is called once per cycle, after the falling
     edge, when outputs are stable; it returns [true] to continue and [false]
-    to stop early (e.g. all faults detected). Raises {!Invalid_workload} on
-    a negative cycle count. *)
+    to stop early (e.g. all faults detected). [?first_cycle] (default 0)
+    starts the protocol at that cycle instead: an engine resuming from a
+    good-state snapshot taken there passes the snapshot's cycle. Raises
+    {!Invalid_workload} on a negative cycle count. *)
 val run :
   ?on_cycle_start:(int -> unit) ->
+  ?first_cycle:int ->
   t ->
   set_input:(int -> Bits.t -> unit) ->
   step:(unit -> unit) ->

@@ -93,39 +93,6 @@ let fig7 ~scale =
        ~scale)
     Circuits.all
 
-type mem_ablation_row = {
-  m_name : string;
-  m_implicit_exact : int;
-  m_implicit_conservative : int;
-  m_time_exact : float;
-  m_time_conservative : float;
-}
-
-let mem_ablation_names = [ "sha256_hv"; "riscv_mini"; "picorv32"; "apb" ]
-
-let mem_ablation ~scale =
-  List.map
-    (fun name ->
-      let c = Circuits.find name in
-      let _, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
-      let run exact =
-        Engine.Concurrent.run
-          ~config:
-            { Engine.Concurrent.default_config with exact_mem_check = exact }
-          g w faults
-      in
-      let exact = run true in
-      let conservative = run false in
-      {
-        m_name = c.paper_name;
-        m_implicit_exact = exact.Fault.stats.Stats.bn_skipped_implicit;
-        m_implicit_conservative =
-          conservative.Fault.stats.Stats.bn_skipped_implicit;
-        m_time_exact = exact.Fault.wall_time;
-        m_time_conservative = conservative.Fault.wall_time;
-      })
-    mem_ablation_names
-
 let mean_speedup rows ~num ~den =
   let log_sum, n =
     List.fold_left

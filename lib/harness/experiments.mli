@@ -49,15 +49,3 @@ val fig7 : scale:float -> perf_row list
 (** Geometric-mean speedup of [num] over [den] across rows. *)
 val mean_speedup :
   perf_row list -> num:Campaign.engine -> den:Campaign.engine -> float
-
-type mem_ablation_row = {
-  m_name : string;
-  m_implicit_exact : int;  (** implicit skips with per-word mem checks *)
-  m_implicit_conservative : int;  (** with the whole-memory rule *)
-  m_time_exact : float;
-  m_time_conservative : float;
-}
-
-(** Ablation of the per-word memory-visibility refinement (DESIGN.md §6) on
-    the memory-heavy circuits. *)
-val mem_ablation : scale:float -> mem_ablation_row list

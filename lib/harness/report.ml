@@ -119,15 +119,3 @@ let perf ~title ppf rows =
               (Campaign.engine_name base)
               (Experiments.mean_speedup rows ~num:e ~den:base))
         engines
-
-let mem_ablation ppf rows =
-  Format.fprintf ppf
-    "Ablation: per-word vs whole-memory visibility in the Algorithm 1 walk@.";
-  Format.fprintf ppf "  %-12s %14s %14s %10s %10s@." "Benchmark"
-    "impl(exact)" "impl(whole)" "t(exact)" "t(whole)";
-  List.iter
-    (fun (r : Experiments.mem_ablation_row) ->
-      Format.fprintf ppf "  %-12s %14d %14d %9.3fs %9.3fs@." r.m_name
-        r.m_implicit_exact r.m_implicit_conservative r.m_time_exact
-        r.m_time_conservative)
-    rows

@@ -10,6 +10,3 @@ val fig1b : Format.formatter -> (string * float * float) list -> unit
 (** Fig. 6 / Fig. 7: times plus speedups relative to the first engine of
     each row. *)
 val perf : title:string -> Format.formatter -> Experiments.perf_row list -> unit
-
-val mem_ablation :
-  Format.formatter -> Experiments.mem_ablation_row list -> unit

@@ -65,7 +65,6 @@ type config = {
   repro_dir : string option;
   repro_meta : (string * float) option;
   warmstart : bool;
-  capture_mem_limit : int option;
 }
 
 let default_config =
@@ -87,7 +86,6 @@ let default_config =
     repro_dir = None;
     repro_meta = None;
     warmstart = false;
-    capture_mem_limit = None;
   }
 
 type summary = {
@@ -526,7 +524,6 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
   nonneg_int "batch cycle budget" config.max_batch_cycles;
   nonneg_int "max retries" (Some config.max_retries);
   nonneg_float "progress interval" config.progress;
-  nonneg_int "capture memory limit" config.capture_mem_limit;
   if w.Workload.cycles < 0 then
     err
       (Bad_workload
@@ -610,7 +607,7 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
   let plan =
     Schedule.plan ~policy:Schedule.Adaptive
       ~granularity:(Schedule.Size config.batch_size)
-      ?capture_mem_limit:config.capture_mem_limit ?warm:warm_input ~design:g
+      ?warm:warm_input ~design:g
       ~n ()
   in
   let npruned = Array.length plan.Schedule.sp_pruned in

@@ -149,11 +149,6 @@ type config = {
           {!Schedule.Fixed}; a warm header also records that policy
           under ["schedule"], and a journal naming any other policy fails
           resume with [Journal_corrupt]. Off by default. *)
-  capture_mem_limit : int option;
-      (** spill the planned trace's int64 payloads to a disk-backed mmap
-          ({!Sim.Goodtrace.spill}) when its [capture_bytes] exceeds this
-          many bytes, >= 0 ([None]: never spill). Replay — and the
-          report's bytes — are unchanged. *)
 }
 
 (** Eraser engine, batches of 64, no watchdog, no journal, no sampling. *)

@@ -87,7 +87,7 @@ let adapt_snapshots (design : Rtlir.Elaborate.t) trace slices acts =
       ~base:(Sim.State.create design.Rtlir.Elaborate.design)
       ~at
 
-let plan ~policy ~granularity ?capture_mem_limit ?warm
+let plan ~policy ~granularity ?warm
     ~(design : Rtlir.Elaborate.t) ~n () =
   let pruned_mask =
     match warm with Some wi -> wi.wi_pruned | None -> Array.make n false
@@ -138,12 +138,6 @@ let plan ~policy ~granularity ?capture_mem_limit ?warm
         if policy = Adaptive then
           adapt_snapshots design wi.wi_trace slices wi.wi_acts
         else wi.wi_trace
-      in
-      let trace =
-        match capture_mem_limit with
-        | Some lim when trace.Sim.Goodtrace.capture_bytes > lim ->
-            Sim.Goodtrace.spill trace
-        | _ -> trace
       in
       let ev_total = Array.length trace.Sim.Goodtrace.code in
       let batches =

@@ -66,8 +66,8 @@ type t = {
   sp_pruned : int array;  (** ascending pruned fault ids (empty when cold) *)
   sp_trace : Sim.Goodtrace.t option;
       (** the trace consumers must replay from — under [Adaptive] this is
-          the re-snapshotted (and possibly spilled) trace, not the one
-          passed in via [warm_input] *)
+          the re-snapshotted trace, not the one passed in via
+          [warm_input] *)
   sp_acts : int array option;
       (** retained activation windows, so refinements of a batch can
           recompute their own warm starts via {!warm_for} *)
@@ -78,13 +78,10 @@ type t = {
     pruning, identity order, every batch starts at cycle 0. With [?warm]
     present, statically-undetectable faults are pruned into [sp_pruned],
     live faults are ordered per [policy], and each batch gets the best
-    warm start its policy allows. [?capture_mem_limit] spills the planned
-    trace to a disk-backed mmap ({!Sim.Goodtrace.spill}) when its
-    [capture_bytes] exceeds the limit. *)
+    warm start its policy allows. *)
 val plan :
   policy:policy ->
   granularity:granularity ->
-  ?capture_mem_limit:int ->
   ?warm:warm_input ->
   design:Rtlir.Elaborate.t ->
   n:int ->

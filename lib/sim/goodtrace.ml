@@ -29,7 +29,6 @@ type t = {
   snapshots : (int * State.t) array;
   snapshot_every : int;
   capture_bytes : int;
-  spilled : bool;
 }
 
 exception Trace_mismatch of string
@@ -191,7 +190,6 @@ let finish b =
     snapshots;
     snapshot_every = b.b_k;
     capture_bytes;
-    spilled = false;
   }
 
 (* ---- replay ---- *)
@@ -400,52 +398,6 @@ let with_snapshots t ~base ~at =
       + Array.fold_left (fun acc (_, s) -> acc + state_bytes s) 0 snapshots
     in
     { t with snapshots; capture_bytes }
-  end
-
-(* ---- disk spill ---- *)
-
-let spill t =
-  if t.spilled then t
-  else begin
-    let vlen = Bigarray.Array1.dim t.vals in
-    let olen = Bigarray.Array1.dim t.outputs in
-    let snap_words =
-      Array.fold_left
-        (fun acc (_, s) -> acc + s.State.nsig + State.mem_words s)
-        0 t.snapshots
-    in
-    let total = vlen + olen + snap_words in
-    (* One mmap-backed slab in an unlinked temp file: the mapping keeps
-       the storage alive (and shareable across domains) until the trace is
-       collected, while the file itself never outlives the process. *)
-    let path = Filename.temp_file "eraser_goodtrace" ".bin" in
-    let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
-    (try Sys.remove path with Sys_error _ -> ());
-    let slab =
-      Bigarray.array1_of_genarray
-        (Unix.map_file fd Bigarray.int64 Bigarray.c_layout true
-           [| max 1 total |])
-    in
-    Unix.close fd;
-    let off = ref 0 in
-    let carve n =
-      let v = Bigarray.Array1.sub slab !off n in
-      off := !off + n;
-      v
-    in
-    let vals = carve vlen in
-    Bigarray.Array1.blit t.vals vals;
-    let outputs = carve olen in
-    Bigarray.Array1.blit t.outputs outputs;
-    let snapshots =
-      Array.map
-        (fun (c, s) ->
-          let sig_v = carve s.State.nsig in
-          let mem_v = carve (State.mem_words s) in
-          (c, State.with_storage s ~sig_v ~mem_v))
-        t.snapshots
-    in
-    { t with vals; outputs; snapshots; spilled = true }
   end
 
 (* ---- activation windows ---- *)

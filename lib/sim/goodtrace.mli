@@ -44,9 +44,6 @@ type t = {
           [cycles] (so a never-activating fault can skip the whole run). *)
   snapshot_every : int;
   capture_bytes : int;  (** approximate heap footprint of the capture *)
-  spilled : bool;
-      (** [true] when the int64 payloads ([vals], [outputs], snapshot
-          storage) live in a disk-backed mmap slab (see {!spill}). *)
 }
 
 exception Trace_mismatch of string
@@ -157,15 +154,6 @@ type warm = { trace : t; start : int }
     planner's adaptive policy uses to move snapshots onto batch activation
     boundaries without re-running the capture. *)
 val with_snapshots : t -> base:State.t -> at:int list -> t
-
-(** Move the trace's int64 payloads ([vals], [outputs], every snapshot's
-    signal/memory storage) into one disk-backed [Unix.map_file] slab over
-    an unlinked temp file, so million-cycle captures no longer hold the
-    delta stream in heap memory. The [int] arrays ([code], cycle indices)
-    stay on the heap — they are the smaller half and OCaml [int] arrays
-    cannot be mmap-backed. Replay is unchanged (same Bigarray access
-    path); idempotent on an already-spilled trace. *)
-val spill : t -> t
 
 (** {1 Activation windows} *)
 

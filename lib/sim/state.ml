@@ -75,12 +75,3 @@ let copy t =
 let blit ~src ~dst =
   Bigarray.Array1.blit src.sig_v dst.sig_v;
   Bigarray.Array1.blit src.mem_v dst.mem_v
-
-let with_storage t ~sig_v ~mem_v =
-  if Bigarray.Array1.dim sig_v <> t.nsig then
-    invalid_arg "State.with_storage: sig_v dimension mismatch";
-  if Bigarray.Array1.dim mem_v <> Bigarray.Array1.dim t.mem_v then
-    invalid_arg "State.with_storage: mem_v dimension mismatch";
-  Bigarray.Array1.blit t.sig_v sig_v;
-  Bigarray.Array1.blit t.mem_v mem_v;
-  { t with sig_v; mem_v }

@@ -46,9 +46,3 @@ val copy : t -> t
 
 (** Copy all payloads from [src] into [dst] (same design). *)
 val blit : src:t -> dst:t -> unit
-
-(** [with_storage t ~sig_v ~mem_v] is a view of [t] whose payloads live in
-    the caller-provided Bigarrays (e.g. slices of one mmap-backed slab):
-    the current contents of [t] are blitted in and the returned state
-    shares [t]'s width/memory metadata. Dimensions must match exactly. *)
-val with_storage : t -> sig_v:i64a -> mem_v:i64a -> t

@@ -53,11 +53,11 @@ let test_choose () =
     match !found with Some d -> d | None -> Alcotest.fail "decision not found"
   in
   let ifd = find_decision false in
-  check int_t "if true arm" 0 (Cfg.choose ifd (Bits.of_int 1 1));
-  check int_t "if false arm" 1 (Cfg.choose ifd (Bits.of_int 1 0));
+  check int_t "if true arm" 0 (Cfg.choose_i ifd 1L);
+  check int_t "if false arm" 1 (Cfg.choose_i ifd 0L);
   let cased = find_decision true in
-  check int_t "case match" 0 (Cfg.choose cased (Bits.of_int 4 2));
-  check int_t "case default" 1 (Cfg.choose cased (Bits.of_int 4 7))
+  check int_t "case match" 0 (Cfg.choose_i cased 2L);
+  check int_t "case default" 1 (Cfg.choose_i cased 7L)
 
 (* Drive the walk with explicit value environments (masked int64
    payloads, the representation the engine walks over). *)

@@ -20,6 +20,50 @@ let scale_case value =
   let arg = "--scale=" ^ value in
   case ~name:arg [ "run"; "-c"; "alu"; arg ]
 
+(* A reproducer record (the shape [eraser campaign --repro-dir] writes) as
+   (field, raw JSON) pairs: replaying it as given reproduces the injected
+   divergence. *)
+let repro_fields =
+  [
+    ("type", {|"repro"|});
+    ("version", "1");
+    ("engine", {|"Eraser"|});
+    ("circuit", {|{"name":"alu","scale":0.05}|});
+    ("fault", {|{"id":3}|});
+    ("ids", "[3]");
+    ("cycles", "1");
+    ("inject", "3");
+    ("engine_detected", "true");
+    ("engine_cycle", "0");
+    ("oracle_detected", "false");
+    ("oracle_cycle", "-1");
+  ]
+
+(* [repro_case name edit expected]: the record with [edit] applied to each
+   field ([None] drops it), written to a temp file and replayed. *)
+let repro_case name edit expected =
+  Alcotest.test_case
+    (Printf.sprintf "repro %s exits %d" name expected)
+    `Quick
+    (fun () ->
+      let body =
+        List.filter_map
+          (fun (k, v) ->
+            Option.map (Printf.sprintf "%S:%s" k) (edit k v))
+          repro_fields
+      in
+      let file = Filename.temp_file "eraser_repro" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          Out_channel.with_open_bin file (fun oc ->
+              output_string oc ("{" ^ String.concat "," body ^ "}"));
+          Alcotest.(check int) "exit code" expected
+            (exit_code [ "repro"; file ])))
+
+let drop field k v = if k = field then None else Some v
+let set field x k v = Some (if k = field then x else v)
+
 let suite =
   [
     (* NaN, infinities and non-positive scales are usage errors *)
@@ -31,12 +75,18 @@ let suite =
     (* finite but too large: the scaled counts would overflow an int *)
     scale_case "1e30" 6;
     scale_case "0.05" 0;
-    (* worker, warm-start and capture flags belong to campaign only *)
+    (* worker and warm-start flags belong to campaign only *)
     case [ "run"; "-c"; "alu"; "--scale"; "0.05"; "-j"; "2" ] 124;
     case [ "run"; "-c"; "alu"; "--scale"; "0.05"; "--warmstart" ] 124;
-    (* and campaign rejects their out-of-range values as bad workloads *)
+    (* and campaign rejects an out-of-range worker count as a bad workload *)
     case [ "campaign"; "-c"; "alu"; "--scale"; "0.05"; "-j"; "0" ] 6;
-    case
-      [ "campaign"; "-c"; "alu"; "--scale"; "0.05"; "--capture-mem-limit=-1" ]
-      6;
+    (* malformed reproducer files are bad workloads, read in full before
+       anything is replayed *)
+    repro_case "well-formed" (fun _ v -> Some v) 0;
+    repro_case "without fault" (drop "fault") 6;
+    repro_case "with non-integer cycles" (set "cycles" {|"1"|}) 6;
+    repro_case "with non-integer fault id" (set "fault" {|{"id":3.5}|}) 6;
+    repro_case "without engine_detected" (drop "engine_detected") 6;
+    repro_case "with scale 0" (set "circuit" {|{"name":"alu","scale":0}|}) 6;
+    repro_case "with scale -1" (set "circuit" {|{"name":"alu","scale":-1}|}) 6;
   ]

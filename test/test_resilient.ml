@@ -646,11 +646,6 @@ let test_runner_limits_validated () =
       ("progress -1", { d with R.progress = Some (-1.0) }, true);
       ("progress nan", { d with R.progress = Some nan }, true);
       ("progress 0", { d with R.progress = Some 0.0 }, false);
-      ("capture_mem_limit -5", { d with R.capture_mem_limit = Some (-5) },
-       true);
-      ( "capture_mem_limit 0",
-        { d with R.warmstart = true; capture_mem_limit = Some 0 },
-        false );
     ]
 
 let test_unknown_drive_target_rejected () =

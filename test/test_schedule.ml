@@ -3,9 +3,8 @@
    The contract under test (DESIGN.md section 15): Schedule.plan produces a
    permutation partition of the unpruned fault set under every policy and
    granularity; a journaled plan resumes across worker counts to a
-   byte-identical report; and the satellite seams — mmap spill, post-hoc
-   snapshot reconstruction, halve/singleton refinement — preserve replay
-   exactly. *)
+   byte-identical report; and the satellite seams — post-hoc snapshot
+   reconstruction, halve/singleton refinement — preserve replay exactly. *)
 
 open Faultsim
 module H = Harness
@@ -267,57 +266,6 @@ let test_refinement_invariants () =
         | None -> [| b.H.Schedule.sb_ids |]))
     plan.H.Schedule.sp_batches
 
-(* Spill satellite: a disk-backed capture replays to byte-identical
-   verdicts, both at the trace level and end-to-end through the campaign
-   with --capture-mem-limit 0 (spill always). *)
-let test_spilled_capture_replays_identically () =
-  let c = Circuits.find "alu" in
-  let d, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale:0.1 in
-  let trace = Engine.Concurrent.capture g w in
-  let sp = Sim.Goodtrace.spill trace in
-  if not sp.Sim.Goodtrace.spilled then Alcotest.fail "spill did not spill";
-  (* idempotent *)
-  if not (Sim.Goodtrace.spill sp == sp) then
-    Alcotest.fail "spill of a spilled trace must be the identity";
-  for cyc = 0 to trace.Sim.Goodtrace.cycles - 1 do
-    if Sim.Goodtrace.output_row trace cyc <> Sim.Goodtrace.output_row sp cyc
-    then Alcotest.failf "spilled output row differs at cycle %d" cyc
-  done;
-  let ids = Array.init (Array.length faults) (fun i -> i) in
-  let config =
-    { Engine.Concurrent.default_config with mode = Engine.Concurrent.Full }
-  in
-  let via t =
-    Engine.Concurrent.run ~config
-      ~goodtrace:{ Sim.Goodtrace.trace = t; start = 0 }
-      g w faults ~ids
-  in
-  let heap = via trace and disk = via sp in
-  Alcotest.(check (array bool))
-    "spilled replay verdicts" heap.Fault.detected disk.Fault.detected;
-  Alcotest.(check (array int))
-    "spilled replay cycles" heap.Fault.detection_cycle
-    disk.Fault.detection_cycle;
-  (* end to end: warm campaign forced to spill == cold campaign *)
-  let engine = H.Campaign.Eraser in
-  let cold = H.Campaign.run engine g w faults in
-  let warm =
-    H.Resilient.run
-      ~config:
-        {
-          H.Resilient.default_config with
-          H.Resilient.engine;
-          jobs = 2;
-          warmstart = true;
-          capture_mem_limit = Some 0;
-        }
-      g w faults
-  in
-  Alcotest.(check string)
-    "spilled campaign verdicts byte-identical"
-    (render_verdicts ~design:d ~engine ~faults cold)
-    (render_verdicts ~design:d ~engine ~faults warm.H.Resilient.result)
-
 (* Adaptive's snapshot seam: with_snapshots must reconstruct, from the
    event stream alone, exactly the states an engine capture with
    snapshot_every:1 recorded at those cycles (signals and memory words). *)
@@ -368,8 +316,6 @@ let suite =
       `Quick test_plan_resumes_across_jobs;
     Alcotest.test_case "halve / singletons / warm_for refinement invariants"
       `Quick test_refinement_invariants;
-    Alcotest.test_case "spilled capture replays byte-identically" `Quick
-      test_spilled_capture_replays_identically;
     Alcotest.test_case "with_snapshots reconstructs exact engine states"
       `Quick test_with_snapshots_reconstructs_exact_states;
   ]
