@@ -165,7 +165,7 @@ type run = {
       (* Per fault: how many signal and memory diff entries it holds. A
          live fault with none is the good network (DESIGN.md, "Retiring
          converged transients"). *)
-  diffs : Diffstore.t array;
+  diffs : Faultmap.t array;  (* by signal *)
   mem_diffs : Diffstore.t array;
   mem_fault_words : Diffstore.Counts.t array;
   site_faults : int list array;
@@ -218,7 +218,7 @@ type run = {
   mutable bn_trace : int;
   (* ---- clock edge tracking ---- *)
   prev_clock_good : int64 array;
-  prev_clock_diff : Diffstore.t array;
+  prev_clock_diff : Faultmap.t array;
   (* ---- edge-round bookkeeping, allocated once per run ----
      A pair key [pid * stride + f] names fault [f]'s copy of process [pid].
      Each round resets what it filled, touching only the processes and
@@ -272,8 +272,8 @@ let set_diff r id f v =
   let tbl = r.diffs.(id) in
   let good = State.get r.st id in
   if v = good then begin
-    if Diffstore.mem tbl f then begin
-      Diffstore.remove tbl f;
+    if Faultmap.mem tbl f then begin
+      Faultmap.remove tbl f;
       r.ndiff.(f) <- r.ndiff.(f) - 1;
       mark_fanout r r.g.fanout_comb.(id) ~good:false
     end
@@ -281,23 +281,20 @@ let set_diff r id f v =
   else begin
     (* a live fault's stored diff never equals the good value, so
        finding the default means the entry is absent *)
-    let cur = Diffstore.find tbl f ~default:good in
+    let cur = Faultmap.find tbl f ~default:good in
     if cur <> v then begin
       if cur = good then r.ndiff.(f) <- r.ndiff.(f) + 1;
-      Diffstore.set tbl f v;
+      Faultmap.set tbl f v;
       mark_fanout r r.g.fanout_comb.(id) ~good:false
     end
   end
 
 let fault_value r f id =
-  Diffstore.find r.diffs.(id) f ~default:(State.get r.st id)
+  Faultmap.find r.diffs.(id) f ~default:(State.get r.st id)
 
-let visible r f id =
-  let tbl = r.diffs.(id) in
-  (not (Diffstore.is_empty tbl))
-  &&
-  let good = State.get r.st id in
-  Diffstore.find tbl f ~default:good <> good
+(* A stored diff always differs from the good value ([set_diff] and
+   [write_good] drop equal entries), so visibility is membership. *)
+let visible r f id = Faultmap.mem r.diffs.(id) f
 
 let force_if_site r f id v =
   let fa = r.faults.(f) in
@@ -345,7 +342,7 @@ let set_mem_diff r m f a v =
 let remove_dead r tbl =
   Ivec.iter
     (fun f ->
-      Diffstore.remove tbl f;
+      Faultmap.remove tbl f;
       r.ndiff.(f) <- r.ndiff.(f) - 1)
     r.scratch_dead
 
@@ -353,9 +350,9 @@ let write_good r id v =
   if State.get r.st id <> v then begin
     State.set r.st id v;
     let tbl = r.diffs.(id) in
-    if Diffstore.length tbl > 0 then begin
+    if not (Faultmap.is_empty tbl) then begin
       Ivec.clear r.scratch_dead;
-      Diffstore.iter tbl (fun f fv ->
+      Faultmap.iter tbl (fun f fv ->
           if (not r.live.(f)) || fv = v then Ivec.push r.scratch_dead f);
       remove_dead r tbl
     end;
@@ -400,9 +397,9 @@ let add_read_fault r f =
 
 let scan_sig_faults r add id =
   let tbl = r.diffs.(id) in
-  if Diffstore.length tbl > 0 then begin
+  if not (Faultmap.is_empty tbl) then begin
     Ivec.clear r.scratch_dead;
-    Diffstore.iter_keys tbl (fun f ->
+    Faultmap.iter_keys tbl (fun f ->
         if r.live.(f) then add r f else Ivec.push r.scratch_dead f);
     remove_dead r tbl
   end
@@ -661,9 +658,9 @@ let comb_settle r =
 let latch_clock r ci =
   let c = r.g.clocks.(ci) in
   r.prev_clock_good.(ci) <- State.get r.st c;
-  Diffstore.clear r.prev_clock_diff.(ci);
-  Diffstore.iter r.diffs.(c) (fun f v ->
-      if r.live.(f) then Diffstore.set r.prev_clock_diff.(ci) f v)
+  Faultmap.clear r.prev_clock_diff.(ci);
+  Faultmap.iter r.diffs.(c) (fun f v ->
+      if r.live.(f) then Faultmap.set r.prev_clock_diff.(ci) f v)
 
 let pair r pid f = (pid * r.stride) + f
 
@@ -685,11 +682,11 @@ let edge_detect r =
         r.g.ff_of_clock.(c);
     begin_set r;
     scan_sig_faults r add_fault c;
-    Diffstore.iter_keys r.prev_clock_diff.(ci) (fun f ->
+    Faultmap.iter_keys r.prev_clock_diff.(ci) (fun f ->
         if r.live.(f) then add_fault r f);
     Ivec.iter
       (fun f ->
-        let old_f = Diffstore.find r.prev_clock_diff.(ci) f ~default:old_g in
+        let old_f = Faultmap.find r.prev_clock_diff.(ci) f ~default:old_g in
         let new_f = fault_value r f c in
         List.iter
           (fun (pid, edge) ->
@@ -901,10 +898,10 @@ let observe r cycle =
   Array.iter
     (fun o ->
       let tbl = r.diffs.(o) in
-      if Diffstore.length tbl > 0 then begin
+      if not (Faultmap.is_empty tbl) then begin
         Ivec.clear r.scratch_dead;
         let good = State.get r.st o in
-        Diffstore.iter tbl (fun f v ->
+        Faultmap.iter tbl (fun f v ->
             if r.live.(f) && v <> good then Ivec.push r.scratch_dead f);
         Ivec.iter
           (fun f ->
@@ -960,10 +957,10 @@ let create ~config ?probe ?capture ?goodtrace (inst : instance)
   let metrics_on = Obs.Metrics.on () in
   let run_t0 = Obs.Trace.span_begin "fault_sim_run" in
   let st = State.create d in
-  (* Diff stores are sized from the fault-batch width: the per-site tables
-     (one per signal / memory) expect a fraction of the batch and grow on
-     demand; the per-memory fault index and per-clock snapshots are bounded
-     by the batch width itself. *)
+  (* The fault-keyed tables (per signal, per clock) index by fault id. The
+     memory-word tables are sized from the fault-batch width: each expects
+     a fraction of the batch and grows on demand; the per-memory fault
+     index is bounded by the batch width itself. *)
   let expect_site = min nfaults 16 in
   let site_faults = Array.make nsig [] in
   let transients_at = Hashtbl.create 8 in
@@ -1000,8 +997,7 @@ let create ~config ?probe ?capture ?goodtrace (inst : instance)
       detection_cycle = Array.make nfaults (-1);
       n_live = nfaults;
       ndiff = Array.make nfaults 0;
-      diffs =
-        Array.init nsig (fun _ -> Diffstore.create ~expect:expect_site ());
+      diffs = Array.init nsig (fun _ -> Faultmap.create ~nkeys:nfaults);
       mem_diffs =
         Array.init nmem (fun _ -> Diffstore.create ~expect:expect_site ());
       mem_fault_words =
@@ -1080,7 +1076,7 @@ let create ~config ?probe ?capture ?goodtrace (inst : instance)
       bn_trace = 0;
       prev_clock_good = Array.make nclk 0L;
       prev_clock_diff =
-        Array.init nclk (fun _ -> Diffstore.create ~expect:nfaults ());
+        Array.init nclk (fun _ -> Faultmap.create ~nkeys:nfaults);
       stride = max 1 nfaults;
       good_fired = Array.make nproc false;
       good_writes_of = Array.make nproc [];
@@ -1137,7 +1133,7 @@ let start r =
         The transient guard above is the same invariant for [Flip_at]. *)
      Array.iteri
        (fun id tbl ->
-         if r.inst.is_state.(id) && not (Diffstore.is_empty tbl) then
+         if r.inst.is_state.(id) && not (Faultmap.is_empty tbl) then
            trace_mismatch
              "state fault on signal %d active before warm-start cycle %d" id
              r.warm_start)

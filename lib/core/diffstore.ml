@@ -35,7 +35,6 @@ type t = {
   mutable mask : int;  (* capacity - 1 *)
   mutable count : int;  (* live entries *)
   mutable used : int;  (* live + tombstones *)
-  base_cap : int;  (* capacity_for the creation-time expectation *)
 }
 
 let make_vals cap =
@@ -51,12 +50,7 @@ let create ~expect () =
     mask = cap - 1;
     count = 0;
     used = 0;
-    base_cap = cap;
   }
-
-let capacity t = Array.length t.keys
-let length t = t.count
-let is_empty t = t.count = 0
 
 (* Slot holding [key], or -1 when absent. *)
 let find_slot t key =
@@ -126,39 +120,6 @@ let remove t key =
   if i >= 0 then begin
     t.keys.(i) <- tombstone;
     t.count <- t.count - 1
-  end
-
-(* A table with no used slot is already clear (it cannot be oversized
-   either: only inserts grow it), so clearing it costs nothing. *)
-let clear t =
-  if t.used > 0 then begin
-    if Array.length t.keys > shrink_factor * t.base_cap then begin
-      t.keys <- Array.make t.base_cap empty_slot;
-      t.vals <- make_vals t.base_cap;
-      t.mask <- t.base_cap - 1
-    end
-    else Array.fill t.keys 0 (Array.length t.keys) empty_slot;
-    t.count <- 0;
-    t.used <- 0
-  end
-
-(* Iteration is O(capacity); an empty table returns at once. *)
-let iter t f =
-  if t.count > 0 then begin
-    let keys = t.keys in
-    for i = 0 to Array.length keys - 1 do
-      let k = Array.unsafe_get keys i in
-      if k >= 0 then f k (Bigarray.Array1.unsafe_get t.vals i)
-    done
-  end
-
-let iter_keys t f =
-  if t.count > 0 then begin
-    let keys = t.keys in
-    for i = 0 to Array.length keys - 1 do
-      let k = Array.unsafe_get keys i in
-      if k >= 0 then f k
-    done
   end
 
 module Counts = struct

@@ -606,6 +606,32 @@ let test_early_stop () =
   check bool_t "equal" true (Fault.same_verdict oracle r);
   check (Alcotest.float 0.001) "full coverage" 100.0 r.Fault.coverage_pct
 
+(* One batch of over a thousand stuck-at faults on sha256_c2v. The
+   equivalence cases run at [scale], where no diff table holds more than a
+   few dozen faults; here a single batch puts about 500 faults into each
+   32-bit round register's table, so insertion, swap-removal and the scans
+   run at full batch width. The stimulus runs 100 cycles so that those
+   diffs reach the outputs and decide verdicts: at 80 cycles or fewer, a
+   table that maps entries past slot 255 to the wrong fault changes no
+   verdict. Verdicts and detection cycles must equal the serial
+   oracle's. *)
+let test_wide_batch () =
+  let c = Circuits.find "sha256_c2v" in
+  let d = c.Circuits.Bench_circuit.build () in
+  let g = Elaborate.build d in
+  let w = c.Circuits.Bench_circuit.workload d ~cycles:100 in
+  let faults = Fault.generate ~max_faults:1100 ~seed:0x5EEDL d in
+  let n = Array.length faults in
+  if n < 1024 then Alcotest.failf "only %d faults in the wide batch" n;
+  let oracle = H.Campaign.run H.Campaign.Ifsim g w faults in
+  let r = H.Campaign.run H.Campaign.Eraser g w faults in
+  let nd = Fault.count_detected oracle in
+  if nd = 0 || nd = n then
+    Alcotest.failf "oracle detects %d of %d faults: no contrast" nd n;
+  check int_t "detected count" nd (Fault.count_detected r);
+  check bool_t "same detected set and detection cycles" true
+    (Fault.same_verdict oracle r)
+
 let suite =
   List.map equivalence_case Circuits.all
   @ [
@@ -623,4 +649,6 @@ let suite =
       Alcotest.test_case "early stop at full coverage" `Quick test_early_stop;
       Alcotest.test_case "z01x runs eraser-'s config" `Quick
         test_z01x_is_eraser_m;
+      Alcotest.test_case "wide batch (1,100 faults) matches the oracle"
+        `Quick test_wide_batch;
     ]

@@ -4,8 +4,8 @@
    - State.copy / State.blit isolate and round-trip, and a warm restore
      from a good-trace snapshot reproduces the straight run and the serial
      oracle;
-   - the open-addressing diff stores behave exactly like the Hashtbl maps
-     they replaced, under randomized operation sequences. *)
+   - the fault-indexed and open-addressing diff tables behave exactly like
+     Hashtbl maps, under randomized operation sequences. *)
 
 open Sim
 
@@ -107,13 +107,20 @@ let snapshot_determinism name =
 let test_snapshot_determinism_alu () = snapshot_determinism "alu"
 let test_snapshot_determinism_sha () = snapshot_determinism "sha256_hv"
 
-(* ---- diff store vs Hashtbl reference model ---- *)
+(* ---- diff stores vs Hashtbl reference models ---- *)
 
 let test_diffstore_model () =
   let rng = Random.State.make [| 0x5eed; 42 |] in
   for trial = 1 to 20 do
     let store = Engine.Diffstore.create ~expect:(1 + (trial mod 7)) () in
     let model : (int, int64) Hashtbl.t = Hashtbl.create 16 in
+    let agrees key =
+      let expect =
+        match Hashtbl.find_opt model key with Some v -> v | None -> -1L
+      in
+      Engine.Diffstore.mem store key = Hashtbl.mem model key
+      && Engine.Diffstore.find store key ~default:(-1L) = expect
+    in
     for _ = 1 to 2000 do
       let key = Random.State.int rng 200 in
       match Random.State.int rng 4 with
@@ -125,30 +132,128 @@ let test_diffstore_model () =
           Engine.Diffstore.remove store key;
           Hashtbl.remove model key
       | _ ->
-          check bool_t "mem agrees" (Hashtbl.mem model key)
-            (Engine.Diffstore.mem store key);
-          let expect =
-            match Hashtbl.find_opt model key with Some v -> v | None -> -1L
-          in
-          if Engine.Diffstore.find store key ~default:(-1L) <> expect then
-            Alcotest.failf "trial %d: find mismatch on key %d" trial key
+          if not (agrees key) then
+            Alcotest.failf "trial %d: lookup mismatch on key %d" trial key
     done;
-    check int_t "length agrees" (Hashtbl.length model)
-      (Engine.Diffstore.length store);
-    (* iteration covers exactly the live entries *)
-    let seen = Hashtbl.create 16 in
-    Engine.Diffstore.iter store (fun k v ->
-        if Hashtbl.mem seen k then Alcotest.failf "key %d visited twice" k;
-        Hashtbl.add seen k ();
-        match Hashtbl.find_opt model k with
-        | Some mv when mv = v -> ()
-        | Some _ -> Alcotest.failf "key %d iterated with wrong value" k
-        | None -> Alcotest.failf "key %d iterated but not in model" k);
-    check int_t "iteration count" (Hashtbl.length model) (Hashtbl.length seen);
-    Engine.Diffstore.clear store;
-    check int_t "cleared" 0 (Engine.Diffstore.length store);
-    check bool_t "cleared mem" false (Engine.Diffstore.mem store 0)
+    (* the whole key space agrees at the end *)
+    for key = 0 to 199 do
+      if not (agrees key) then
+        Alcotest.failf "trial %d: final contents differ on key %d" trial key
+    done
   done
+
+(* The fault-indexed table against a Hashtbl model. Keys are dense in
+   [0, nkeys); removal swaps the last entry into the freed slot, so the
+   sequences below churn that path hard. *)
+let faultmap_agrees ~what model fm nkeys =
+  for key = 0 to nkeys - 1 do
+    let expect = Hashtbl.find_opt model key in
+    if Engine.Faultmap.mem fm key <> Option.is_some expect then
+      Alcotest.failf "%s: mem mismatch on key %d" what key;
+    if
+      Engine.Faultmap.find fm key ~default:(-1L)
+      <> Option.value expect ~default:(-1L)
+    then Alcotest.failf "%s: find mismatch on key %d" what key
+  done;
+  check bool_t (what ^ ": is_empty") (Hashtbl.length model = 0)
+    (Engine.Faultmap.is_empty fm);
+  (* iteration visits each live key exactly once, with its value *)
+  let seen = Hashtbl.create 16 in
+  Engine.Faultmap.iter fm (fun k v ->
+      if Hashtbl.mem seen k then Alcotest.failf "%s: key %d visited twice" what k;
+      Hashtbl.add seen k ();
+      match Hashtbl.find_opt model k with
+      | Some mv when mv = v -> ()
+      | Some _ -> Alcotest.failf "%s: key %d iterated with wrong value" what k
+      | None -> Alcotest.failf "%s: key %d iterated but not in model" what k);
+  check int_t (what ^ ": iter count") (Hashtbl.length model)
+    (Hashtbl.length seen);
+  let keys = ref 0 in
+  Engine.Faultmap.iter_keys fm (fun k ->
+      incr keys;
+      if not (Hashtbl.mem model k) then
+        Alcotest.failf "%s: iter_keys visited absent key %d" what k);
+  check int_t (what ^ ": iter_keys count") (Hashtbl.length model) !keys
+
+let test_faultmap_model () =
+  (* lookups on a table that has never had an insert *)
+  let fresh = Engine.Faultmap.create ~nkeys:32 in
+  faultmap_agrees ~what:"fresh" (Hashtbl.create 1) fresh 32;
+  Engine.Faultmap.remove fresh 5;
+  Engine.Faultmap.clear fresh;
+  faultmap_agrees ~what:"fresh after remove and clear" (Hashtbl.create 1) fresh
+    32;
+  (* removing the last member, then remove-and-reinsert *)
+  let fm = Engine.Faultmap.create ~nkeys:8 in
+  let model = Hashtbl.create 8 in
+  Engine.Faultmap.set fm 3 30L;
+  Engine.Faultmap.remove fm 3;
+  faultmap_agrees ~what:"last member removed" model fm 8;
+  Engine.Faultmap.set fm 3 31L;
+  Engine.Faultmap.set fm 7 70L;
+  Engine.Faultmap.remove fm 3;
+  Engine.Faultmap.set fm 3 32L;
+  Hashtbl.replace model 3 32L;
+  Hashtbl.replace model 7 70L;
+  faultmap_agrees ~what:"remove and reinsert" model fm 8;
+  (* random sequences *)
+  let rng = Random.State.make [| 0xfa17; 3 |] in
+  for trial = 1 to 20 do
+    let nkeys = 1 + Random.State.int rng 300 in
+    let fm = Engine.Faultmap.create ~nkeys in
+    let model : (int, int64) Hashtbl.t = Hashtbl.create 16 in
+    for _ = 1 to 3000 do
+      let key = Random.State.int rng nkeys in
+      match Random.State.int rng 10 with
+      | 0 | 1 | 2 | 3 ->
+          let v = Random.State.int64 rng 1000L in
+          Engine.Faultmap.set fm key v;
+          Hashtbl.replace model key v
+      | 4 | 5 | 6 ->
+          Engine.Faultmap.remove fm key;
+          Hashtbl.remove model key
+      | 7 | 8 ->
+          if Engine.Faultmap.mem fm key <> Hashtbl.mem model key then
+            Alcotest.failf "trial %d: mem mismatch on key %d" trial key;
+          if
+            Engine.Faultmap.find fm key ~default:(-1L)
+            <> Option.value (Hashtbl.find_opt model key) ~default:(-1L)
+          then Alcotest.failf "trial %d: find mismatch on key %d" trial key
+      | _ ->
+          if Random.State.int rng 20 = 0 then begin
+            Engine.Faultmap.clear fm;
+            Hashtbl.reset model
+          end
+    done;
+    faultmap_agrees ~what:(Printf.sprintf "trial %d" trial) model fm nkeys
+  done;
+  (* many swap-removals: fill every key, then remove all but every
+     seventh in a scrambled order *)
+  let n = 1024 in
+  let fm = Engine.Faultmap.create ~nkeys:n in
+  let model = Hashtbl.create n in
+  for key = 0 to n - 1 do
+    Engine.Faultmap.set fm key (Int64.of_int (key * 5));
+    Hashtbl.replace model key (Int64.of_int (key * 5))
+  done;
+  for i = 0 to n - 1 do
+    let key = i * 389 mod n in
+    if key mod 7 <> 0 then begin
+      Engine.Faultmap.remove fm key;
+      Hashtbl.remove model key
+    end
+  done;
+  faultmap_agrees ~what:"after swap-removals" model fm n;
+  (* the out-of-range insert raises; lookups stay unchecked *)
+  let raises key =
+    match Engine.Faultmap.set fm key 1L with
+    | () -> Alcotest.failf "set %d on a %d-key table did not raise" key n
+    | exception Invalid_argument _ -> ()
+  in
+  raises n;
+  raises (-1);
+  raises max_int;
+  faultmap_agrees ~what:"after rejected sets" model fm n
 
 let test_counts_model () =
   let rng = Random.State.make [| 0xc0; 7 |] in
@@ -185,59 +290,12 @@ let test_counts_model () =
     check int_t "cleared" 0 (Engine.Diffstore.Counts.length store)
   done
 
-(* clear releases a grown slot array back to the creation-time size, but
-   only once the table has outgrown it by the documented factor (16) —
-   moderate growth must keep its capacity across rounds. *)
-let test_diffstore_shrink_on_clear () =
-  let store = Engine.Diffstore.create ~expect:4 () in
-  let base = Engine.Diffstore.capacity store in
-  for key = 0 to 4095 do
-    Engine.Diffstore.set store key (Int64.of_int key)
-  done;
-  check int_t "populated" 4096 (Engine.Diffstore.length store);
-  if Engine.Diffstore.capacity store <= 16 * base then
-    Alcotest.failf "giant batch did not grow past the shrink threshold (%d)"
-      (Engine.Diffstore.capacity store);
-  Engine.Diffstore.clear store;
-  check int_t "shrunk back to base capacity" base
-    (Engine.Diffstore.capacity store);
-  check int_t "cleared" 0 (Engine.Diffstore.length store);
-  (* still a working table after the reallocation *)
-  for key = 0 to 63 do
-    Engine.Diffstore.set store key (Int64.of_int (key * 3))
-  done;
-  check int_t "usable after shrink" 64 (Engine.Diffstore.length store);
-  check bool_t "lookup after shrink" true
-    (Engine.Diffstore.find store 21 ~default:(-1L) = 63L);
-  (* moderate growth (<= 16x) keeps its capacity across clear *)
-  Engine.Diffstore.clear store;
-  for key = 0 to (4 * base) - 1 do
-    Engine.Diffstore.set store key (Int64.of_int key)
-  done;
-  let grown = Engine.Diffstore.capacity store in
-  if grown > 16 * base then
-    Alcotest.failf "moderate growth unexpectedly passed the threshold (%d)"
-      grown;
-  Engine.Diffstore.clear store;
-  check int_t "moderate growth retained across clear" grown
-    (Engine.Diffstore.capacity store)
-
 (* Capacity follows the live population, not the insert history: churning
    many distinct keys through a table that never holds more than a few of
    them at once must leave it no larger than that population needs (a
    quarter-full table at most), and the tombstone rehashes must keep the
    contents intact. *)
 let test_diffstore_capacity_after_churn () =
-  let store = Engine.Diffstore.create ~expect:16 () in
-  let base = Engine.Diffstore.capacity store in
-  for key = 0 to 99_999 do
-    Engine.Diffstore.set store key (Int64.of_int key);
-    Engine.Diffstore.remove store key
-  done;
-  check int_t "single-entry churn keeps the base capacity" base
-    (Engine.Diffstore.capacity store);
-  check int_t "single-entry churn leaves it empty" 0
-    (Engine.Diffstore.length store);
   (* 1,200 keys, at most 64 live: key k is removed when k + 64 goes in *)
   let live = 64 in
   let churned = Engine.Diffstore.create ~expect:16 () in
@@ -250,12 +308,8 @@ let test_diffstore_capacity_after_churn () =
     Engine.Diffstore.set churned key (Int64.of_int (key * 7));
     Engine.Diffstore.Counts.bump counts key 1
   done;
-  check int_t "windowed churn length" live (Engine.Diffstore.length churned);
   check int_t "windowed churn counts length" live
     (Engine.Diffstore.Counts.length counts);
-  if Engine.Diffstore.capacity churned > 4 * live then
-    Alcotest.failf "diffstore grew to %d slots for %d live entries"
-      (Engine.Diffstore.capacity churned) live;
   if Engine.Diffstore.Counts.capacity counts > 4 * live then
     Alcotest.failf "counts store grew to %d slots for %d live entries"
       (Engine.Diffstore.Counts.capacity counts) live;
@@ -280,10 +334,10 @@ let suite =
       `Quick test_snapshot_determinism_sha;
     Alcotest.test_case "diffstore matches Hashtbl model" `Quick
       test_diffstore_model;
+    Alcotest.test_case "faultmap matches Hashtbl model" `Quick
+      test_faultmap_model;
     Alcotest.test_case "counts store matches refcount model" `Quick
       test_counts_model;
-    Alcotest.test_case "diffstore clear shrinks a high-water slot array"
-      `Quick test_diffstore_shrink_on_clear;
     Alcotest.test_case "diffstore capacity follows live entries under churn"
       `Quick test_diffstore_capacity_after_churn;
   ]
