@@ -139,15 +139,10 @@ let install plan =
     }
   in
   Atomic.set st (Some s);
-  Atomic.set Pool.chaos_hook
-    (Some
-       (fun ~label ->
-         match label with Some b -> batch_start ~batch:b | None -> ()));
   Atomic.set Engine.Concurrent.chaos_corrupt_diff (Some (corrupt_for s))
 
 let uninstall () =
   Atomic.set Engine.Concurrent.chaos_corrupt_diff None;
-  Atomic.set Pool.chaos_hook None;
   Atomic.set st None
 
 let counts () =

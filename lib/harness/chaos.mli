@@ -6,15 +6,15 @@
     schedule is reproducible, and the supervised runner's recovery path can
     be asserted to converge to the clean-run report byte-for-byte.
 
-    Injection happens through three explicit seams, each a process-global
-    hook whose disabled path costs one [Atomic.get] (pinned by the
-    zero-alloc test alongside the {!Obs} hooks):
+    Injection happens through four explicit seams, each behind one
+    process-global [Atomic.get] when disabled (pinned by the zero-alloc
+    test alongside the {!Obs} hooks):
 
-    - {!Pool.chaos_hook} — raises {!Injected} before a labelled batch task
-      body starts ([Raise_in_batch], [jobs > 1]);
+    - [Resilient]'s batch task — calls {!batch_start} first thing, before
+      the engine runs, whatever [jobs] is and wherever the task runs
+      ([Raise_in_batch]);
     - [Resilient]'s drive wrapper — consults {!stall} to sleep past the
-      batch deadline ([Stall_past_deadline]) and calls {!batch_start}
-      directly on the [jobs = 1] path;
+      batch deadline ([Stall_past_deadline]);
     - {!Engine.Concurrent.chaos_corrupt_diff} — flips one diff-store entry
       at an observation point ([Corrupt_diffstore]);
     - [Resilient]'s journal writer — consults {!torn_write} to truncate one
@@ -67,9 +67,8 @@ val uninstall : unit -> unit
 val active : unit -> bool
 
 (** [batch_start ~batch] raises {!Injected} if [Raise_in_batch] fires for
-    this batch (first call only). No-op when inactive. The pool seam calls
-    this via {!Pool.chaos_hook} for [jobs > 1]; the serial loop calls it
-    directly. *)
+    this batch (first call only). No-op when inactive. The resilient
+    runner's batch task calls it before anything else, at every [jobs]. *)
 val batch_start : batch:int -> unit
 
 (** [stall ~batch] — [true] exactly once per batch when

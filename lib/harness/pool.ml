@@ -5,12 +5,6 @@ type ctx = { worker : int; jobs : int; rng : Rng.t }
 
 exception Shutdown
 
-(* Chaos seam (installed by {!Chaos}): consulted by the claiming worker
-   immediately before a task's body runs, with the task's [?label]. A raise
-   from the hook fails the task's future exactly as if the body had raised —
-   the body itself never starts. The disabled path is one [Atomic.get]. *)
-let chaos_hook : (label:int option -> unit) option Atomic.t = Atomic.make None
-
 type 'a fstate =
   | Pending
   | Done of 'a
@@ -170,7 +164,7 @@ let complete fut r cond =
       Condition.broadcast cond
   | Done _ | Failed _ -> ()
 
-let submit ?label t f =
+let submit t f =
   let fut = { st = Pending; fm = t.m; fc = t.cond } in
   let run ctx =
     Mutex.lock t.m;
@@ -178,12 +172,7 @@ let submit ?label t f =
     Mutex.unlock t.m;
     if not cancelled then begin
       let r =
-        try
-          (match Atomic.get chaos_hook with
-          | None -> ()
-          | Some hook -> hook ~label);
-          Done (f ctx)
-        with e -> Failed (e, Printexc.get_raw_backtrace ())
+        try Done (f ctx) with e -> Failed (e, Printexc.get_raw_backtrace ())
       in
       Mutex.lock t.m;
       complete fut r t.cond;

@@ -39,10 +39,8 @@ val jobs : t -> int
 (** Queue a task (round-robin over the workers; idle workers steal).
     Raises [Invalid_argument] after {!shutdown}. Tasks must not [await]
     futures of the same pool — workers executing tasks are the only threads
-    that complete them. [?label] is an opaque caller tag (the resilient
-    runner passes the batch index) handed to the chaos seam; it has no
-    effect outside chaos testing. *)
-val submit : ?label:int -> t -> (ctx -> 'a) -> 'a future
+    that complete them. *)
+val submit : t -> (ctx -> 'a) -> 'a future
 
 (** Block until the task finishes. Re-raises the task's exception with its
     original backtrace if it failed, or {!Shutdown} if it was discarded. *)
@@ -62,13 +60,6 @@ val await_result : 'a future -> ('a, exn * Printexc.raw_backtrace) result
     does not remove the task id from its deque; the claiming worker skips
     the body when it finds the future settled. *)
 val cancel : 'a future -> bool
-
-(** Chaos seam, installed (and uninstalled) by {!Chaos}: called by the
-    claiming worker right before a task body starts, with the task's
-    submission [?label]; a raise fails the future as if the body had
-    raised. One [Atomic.get] when disabled; leave at [None] except under
-    chaos testing. *)
-val chaos_hook : (label:int option -> unit) option Atomic.t
 
 (** Per-worker utilization snapshot: [(tasks_run, tasks_stolen,
     idle_seconds)] for each worker index. Steals count tasks claimed from a

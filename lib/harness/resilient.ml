@@ -203,14 +203,15 @@ let divergence_of_json j =
     oracle_cycle = Jsonl.get_int "oracle_cycle" j;
   }
 
+let ids_json ids =
+  Jsonl.List (Array.to_list (Array.map (fun i -> Jsonl.Int i) ids))
+
 let batch_to_json b =
   Jsonl.Obj
     ([
        ("type", Jsonl.String "batch");
        ("index", Jsonl.Int b.b_index);
-       ( "ids",
-         Jsonl.List (Array.to_list (Array.map (fun i -> Jsonl.Int i) b.b_ids))
-       );
+       ("ids", ids_json b.b_ids);
        ( "detected",
          Jsonl.List
            (Array.to_list (Array.map (fun d -> Jsonl.Bool d) b.b_detected)) );
@@ -227,12 +228,7 @@ let batch_to_json b =
        unsupervised journals keep their historical byte format *)
     @ (if Array.length b.b_failed = 0 then []
        else
-         [
-           ( "failed",
-             Jsonl.List
-               (Array.to_list (Array.map (fun i -> Jsonl.Int i) b.b_failed))
-           );
-         ])
+         [ ("failed", ids_json b.b_failed) ])
     @
     if b.b_repros = [] then []
     else [ ("repros", Jsonl.List (List.map (fun r -> Jsonl.String r) b.b_repros)) ]
@@ -292,161 +288,13 @@ type replay = {
 let empty_replay =
   { rp_outcomes = []; rp_retries = 0; rp_restarts = 0; rp_clean_bytes = 0 }
 
-(* Replay a journal: validate the header against the campaign at hand and
-   collect the completed batch records. A torn final line and an
-   unparseable final record (the crash window the journal exists to
-   survive) are dropped; any other malformed line or a parameter mismatch
-   is a {!Journal_corrupt} error. [expected_pruned] is the
-   [{"type":"pruned",...}] record this campaign would write (None when it
-   prunes nothing): a journaled pruned record must match it exactly — the
-   cone analysis is a deterministic function of the design, so a mismatch
-   means the journal belongs to a different campaign. [expected_plan] is
-   the [{"type":"plan",...}] record likewise: the planner is
-   deterministic, so the journaled plan must equal the one this campaign
-   recomputed (batch id membership is validated per batch record). *)
-let load_journal path ~expected_header ~expected_pruned ~expected_plan
-    ~expected_ids =
-  let { Jsonl.complete; torn = _ } = Jsonl.read_journal path in
-  match complete with
-  | [] -> empty_replay
-  | header_line :: records ->
-      let header =
-        try Jsonl.parse header_line
-        with Jsonl.Parse_error m ->
-          err (Journal_corrupt (Printf.sprintf "unreadable header (%s)" m))
-      in
-      if header <> expected_header then
-        err
-          (Journal_corrupt
-             (Printf.sprintf
-                "parameter mismatch: journal was recorded by %s but this \
-                 campaign is %s"
-                (Jsonl.to_string header)
-                (Jsonl.to_string expected_header)));
-      let nbatches = Array.length expected_ids in
-      let seen = Hashtbl.create 16 in
-      let total = List.length records in
-      let outcomes = ref [] in
-      let retry_events = ref [] in
-      (* The valid prefix ends at the last completed batch record: retry
-         events and heartbeats past it belong to a batch whose record never
-         landed — re-execution regenerates them, so resume truncates there
-         rather than double-journal them. *)
-      let offset = ref (String.length header_line + 1) in
-      let clean = ref !offset in
-      List.iteri
-        (fun i line ->
-          let last = i = total - 1 in
-          let record_no = i + 1 in
-          offset := !offset + String.length line + 1;
-          match Jsonl.parse line with
-          | exception Jsonl.Parse_error m ->
-              (* mid-line crash can only tear the final record *)
-              if not last then
-                err
-                  (Journal_corrupt
-                     (Printf.sprintf "record %d unreadable (%s)" record_no m))
-          | j when
-              (match Jsonl.member "type" j with
-              | Some (Jsonl.String "heartbeat") -> true
-              | _ -> false) ->
-              (* progress heartbeats are informational — replay ignores them *)
-              ()
-          | j when
-              (match Jsonl.member "type" j with
-              | Some (Jsonl.String "pruned") -> true
-              | _ -> false) ->
-              (* the statically-undetectable verdicts journaled right after
-                 the header; replay only validates them (the resuming
-                 campaign recomputes the same set from the design) *)
-              if Some j <> expected_pruned then
-                err
-                  (Journal_corrupt
-                     (Printf.sprintf
-                        "record %d: pruned-fault record does not match this \
-                         campaign's cone analysis"
-                        record_no))
-          | j when
-              (match Jsonl.member "type" j with
-              | Some (Jsonl.String "plan") -> true
-              | _ -> false) ->
-              (* the schedule plan journaled right after the header; replay
-                 only validates it (planning is deterministic, so the
-                 resuming campaign recomputes the identical plan) *)
-              if Some j <> expected_plan then
-                err
-                  (Journal_corrupt
-                     (Printf.sprintf
-                        "record %d: plan record does not match this \
-                         campaign's schedule"
-                        record_no))
-          | j when
-              (match Jsonl.member "type" j with
-              | Some (Jsonl.String "retry") -> true
-              | _ -> false) -> (
-              match (Jsonl.member "batch" j, Jsonl.member "kind" j) with
-              | Some (Jsonl.Int b), Some (Jsonl.String k) ->
-                  retry_events := (b, k) :: !retry_events
-              | _ ->
-                  if not last then
-                    err
-                      (Journal_corrupt
-                         (Printf.sprintf "record %d: malformed retry record"
-                            record_no)))
-          | j ->
-          match batch_of_json j with
-          | exception Jsonl.Parse_error m ->
-              if not last then
-                err
-                  (Journal_corrupt
-                     (Printf.sprintf "record %d unreadable (%s)" record_no m))
-          | b ->
-              if b.b_index < 0 || b.b_index >= nbatches then
-                err
-                  (Journal_corrupt
-                     (Printf.sprintf "record %d: batch index %d out of range"
-                        record_no b.b_index));
-              if Hashtbl.mem seen b.b_index then
-                err
-                  (Journal_corrupt
-                     (Printf.sprintf "record %d: duplicate batch %d" record_no
-                        b.b_index));
-              if b.b_ids <> expected_ids.(b.b_index) then
-                err
-                  (Journal_corrupt
-                     (Printf.sprintf
-                        "record %d: fault ids of batch %d do not match the \
-                         campaign's decomposition"
-                        record_no b.b_index));
-              if
-                Array.length b.b_detected <> Array.length b.b_ids
-                || Array.length b.b_cycles <> Array.length b.b_ids
-              then
-                err
-                  (Journal_corrupt
-                     (Printf.sprintf "record %d: verdict arrays truncated"
-                        record_no));
-              Hashtbl.replace seen b.b_index ();
-              outcomes := b :: !outcomes;
-              clean := !offset)
-        records;
-      (* count only events whose batch record landed: the rest are being
-         truncated away and will be regenerated *)
-      let rp_retries = ref 0 and rp_restarts = ref 0 in
-      List.iter
-        (fun (b, k) ->
-          if Hashtbl.mem seen b then
-            match k with
-            | "split" -> incr rp_retries
-            | "restart" -> incr rp_restarts
-            | _ -> ())
-        !retry_events;
-      {
-        rp_outcomes = List.rev !outcomes;
-        rp_retries = !rp_retries;
-        rp_restarts = !rp_restarts;
-        rp_clean_bytes = !clean;
-      }
+(* An existing journal as a resume reads it, once: its parsed header, the
+   header line's byte length and the records after it. *)
+type journal_in = {
+  ji_header : Jsonl.t;
+  ji_header_bytes : int;
+  ji_records : string list;
+}
 
 let append_record ?chaos_batch oc json =
   let line = Jsonl.to_string json in
@@ -481,43 +329,69 @@ let write_atomic path f =
 
 (* ---- the runner ---- *)
 
-let renumber faults ids =
-  Array.mapi (fun i id -> { faults.(id) with Fault.fid = i }) ids
+(* One campaign run: what [plan] fixes before any batch executes, plus the
+   coordinator's bookkeeping. Workers touch only their own [instances]
+   slot and the atomic [retries]/[restarts] counters; everything else
+   belongs to the coordinator. *)
+type run = {
+  cfg : config;  (* after resume adoption *)
+  g : Rtlir.Elaborate.t;
+  w : Workload.t;
+  faults : Fault.t array;
+  instances : Engine.Concurrent.instance option array;
+      (* per-worker engine instance: the compiled design is immutable once
+         built, but each worker gets its own so instances are never shared
+         across domains, and reuse across a worker's batches amortises
+         compilation. Slot [i] is touched only by worker [i]; the
+         coordinator borrows slot 0 for the good-trace capture before any
+         batch starts (and is worker 0 itself at [jobs = 1]). *)
+  plan : Schedule.t;
+  ids : int array array;  (* each planned batch's fault ids *)
+  header : Jsonl.t;
+  pruned_record : Jsonl.t option;
+  plan_record : Jsonl.t option;
+  outcomes : batch_outcome option array;
+  retries : int Atomic.t;
+  restarts : int Atomic.t;
+  mutable jout : out_channel option;
+  mutable hb : Obs.Heartbeat.t option;
+  mutable executed : int;
+  mutable done_faults : int;
+  mutable det_faults : int;
+}
 
-let index_of ids x =
-  let found = ref None in
-  Array.iteri (fun i id -> if id = x then found := Some i) ids;
-  !found
+(* OCaml 5's [Max_domains] (caml/domain.h: 128 on 64-bit, 16 otherwise)
+   counts the calling domain, so a pool can spawn one worker fewer. *)
+let max_jobs = (if Sys.word_size = 64 then 128 else 16) - 1
 
-let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
-    faults =
-  let t0 = Stats.now () in
+let instance_for instances g worker =
+  match instances.(worker) with
+  | Some inst -> inst
+  | None ->
+      let inst = Engine.Concurrent.instance g in
+      instances.(worker) <- Some inst;
+      inst
+
+(* Every config field in its documented range, before any file, capture
+   or domain is touched. *)
+let validate config (w : Workload.t) =
+  let bad fmt = Printf.ksprintf (fun m -> err (Bad_workload m)) fmt in
   if config.batch_size < 1 then
-    err
-      (Bad_workload
-         (Printf.sprintf "batch size must be positive, got %d"
-            config.batch_size));
-  if config.jobs < 1 then
-    err
-      (Bad_workload
-         (Printf.sprintf "jobs must be positive, got %d" config.jobs));
-  if config.oracle_sample < 0.0 || config.oracle_sample > 1.0 then
-    err
-      (Bad_workload
-         (Printf.sprintf "oracle sampling rate must be within [0, 1], got %g"
-            config.oracle_sample));
+    bad "batch size must be positive, got %d" config.batch_size;
+  if config.jobs < 1 then bad "jobs must be positive, got %d" config.jobs;
+  if config.jobs > max_jobs then
+    bad "jobs must be at most %d (the runtime's domain limit), got %d"
+      max_jobs config.jobs;
+  if not (config.oracle_sample >= 0.0 && config.oracle_sample <= 1.0) then
+    bad "oracle sampling rate must be within [0, 1], got %g"
+      config.oracle_sample;
   let nonneg_float what = function
     | Some x when Float.is_nan x || x < 0.0 ->
-        err
-          (Bad_workload
-             (Printf.sprintf "%s must be non-negative, got %g" what x))
+        bad "%s must be non-negative, got %g" what x
     | _ -> ()
   in
   let nonneg_int what = function
-    | Some x when x < 0 ->
-        err
-          (Bad_workload
-             (Printf.sprintf "%s must be non-negative, got %d" what x))
+    | Some x when x < 0 -> bad "%s must be non-negative, got %d" what x
     | _ -> ()
   in
   nonneg_float "batch time budget" config.max_batch_seconds;
@@ -525,447 +399,592 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
   nonneg_int "max retries" (Some config.max_retries);
   nonneg_float "progress interval" config.progress;
   if w.Workload.cycles < 0 then
-    err
-      (Bad_workload
-         (Printf.sprintf "negative cycle count %d" w.Workload.cycles));
-  (* Resume adopts the journal's own regime: warm and cold campaigns use
-     different batch decompositions (planner-ordered vs contiguous), so
-     the journal records a ["warmstart"] header field and a resume must
-     continue in the regime the journal was written under — re-capturing
-     the good trace even when the resuming invocation's flags differ, and
-     running cold for a cold journal even when they don't. Only that field
-     is adopted; every other header parameter is still validated strictly
-     by [load_journal]. An unreadable header falls through untouched and
-     fails there with the proper error. *)
-  let config =
-    match config.journal with
-    | Some path when config.resume && Sys.file_exists path -> (
-        match (Jsonl.read_journal path).Jsonl.complete with
-        | header_line :: _ -> (
-            match Jsonl.parse header_line with
-            | exception Jsonl.Parse_error _ -> config
-            | j ->
-                let journal_warm =
-                  match Jsonl.member "warmstart" j with
-                  | Some (Jsonl.Bool b) -> b
-                  | _ -> false
-                in
-                { config with warmstart = journal_warm })
-        | [] -> config)
-    | _ -> config
-  in
+    bad "negative cycle count %d" w.Workload.cycles
+
+(* On resume, read an existing journal once. The resume adopts the
+   journal's own regime: warm and cold campaigns use different batch
+   decompositions (planner-ordered vs contiguous), so the journal records a
+   ["warmstart"] header field and a resume continues in the regime the
+   journal was written under — re-capturing the good trace even when the
+   resuming invocation's flags differ, and running cold for a cold journal
+   even when they don't. Only that field is adopted; {!replay_journal}
+   validates every other header parameter strictly once the plan exists.
+   An empty journal starts fresh. *)
+let open_journal config =
+  match config.journal with
+  | Some path when config.resume && Sys.file_exists path -> (
+      match (Jsonl.read_journal path).Jsonl.complete with
+      | [] -> (config, None)
+      | header_line :: records ->
+          let header =
+            try Jsonl.parse header_line
+            with Jsonl.Parse_error m ->
+              err
+                (Journal_corrupt (Printf.sprintf "unreadable header (%s)" m))
+          in
+          let warmstart =
+            match Jsonl.member "warmstart" header with
+            | Some (Jsonl.Bool b) -> b
+            | _ -> false
+          in
+          ( { config with warmstart },
+            Some
+              {
+                ji_header = header;
+                ji_header_bytes = String.length header_line + 1;
+                ji_records = records;
+              } ))
+  | _ -> (config, None)
+
+(* Good-trace warm start and the plan. The coordinator captures the good
+   network once, before any worker starts (the finished trace is immutable
+   and shared read-only), and computes each fault's activation window and
+   the cone's statically-undetectable set. Pruning is disabled under
+   [inject_divergence] so the injected fault is guaranteed to execute.
+   Serial engines have no replay seam and ignore [warmstart]. Everything
+   else — ordering, batch decomposition, snapshot placement, warm-start
+   cycles — is the planner's job; a cold plan (no warm input) degrades to
+   [Fixed]. *)
+let plan config (g : Rtlir.Elaborate.t) (w : Workload.t) faults =
   let n = Array.length faults in
-  (* Per-worker engine instance: the compiled design is immutable once
-     built, but each worker gets its own so instances are never shared
-     across domains, and reuse across a worker's batches amortises
-     compilation. Each slot is touched only by its owning worker (slot 0 by
-     the jobs = 1 serial loop; the coordinator borrows it sequentially for
-     the good-trace capture, before the pool exists). *)
   let instances = Array.make config.jobs None in
-  let instance_for worker =
-    match instances.(worker) with
-    | Some inst -> inst
-    | None ->
-        let inst = Engine.Concurrent.instance g in
-        instances.(worker) <- Some inst;
-        inst
-  in
-  (* Good-trace warm start: the coordinator captures the good network once
-     (before any worker starts — the finished trace is immutable and
-     shared read-only) and computes each fault's activation window and
-     the cone's statically-undetectable set. Pruning is disabled under
-     [inject_divergence] so the injected fault is guaranteed to execute.
-     Serial engines have no replay seam and ignore the flag. Everything
-     else — ordering, batch decomposition, snapshot placement, warm-start
-     cycles — is the planner's job. *)
-  let warm_input =
+  let trace =
     match config.engine with
     | Campaign.Ifsim | Campaign.Vfsim -> None
     | e when config.warmstart && n > 0 ->
-        let trace =
-          let cc =
-            {
-              Engine.Concurrent.default_config with
-              mode = Campaign.concurrent_mode e;
-            }
-          in
-          let instance = instance_for 0 in
-          try Engine.Concurrent.capture ~config:cc ~instance g w
-          with Workload.Invalid_workload msg -> err (Bad_workload msg)
+        let cc =
+          {
+            Engine.Concurrent.default_config with
+            mode = Campaign.concurrent_mode e;
+          }
         in
+        let instance = instance_for instances g 0 in
+        Obs.Trace.with_span "capture" (fun () ->
+            try Some (Engine.Concurrent.capture ~config:cc ~instance g w)
+            with Workload.Invalid_workload msg -> err (Bad_workload msg))
+    | _ -> None
+  in
+  Obs.Trace.with_span "plan" @@ fun () ->
+  let warm =
+    Option.map
+      (fun trace ->
         let cone = Flow.Cone.build g in
-        let acts = Engine.Concurrent.activations ~cone trace g faults in
-        let pruned =
+        let wi_acts = Engine.Concurrent.activations ~cone trace g faults in
+        let wi_pruned =
           if config.inject_divergence = None then
             Engine.Concurrent.statically_undetectable ~cone g faults
           else Array.make n false
         in
-        Some { Schedule.wi_trace = trace; wi_acts = acts; wi_pruned = pruned }
-    | _ -> None
+        { Schedule.wi_trace = trace; wi_acts; wi_pruned })
+      trace
   in
-  (* a cold plan (no warm input) degrades to Fixed *)
   let plan =
     Schedule.plan ~policy:Schedule.Adaptive
-      ~granularity:(Schedule.Size config.batch_size)
-      ?warm:warm_input ~design:g
-      ~n ()
+      ~granularity:(Schedule.Size config.batch_size) ?warm ~design:g ~n ()
   in
   let npruned = Array.length plan.Schedule.sp_pruned in
-  let nlive = n - npruned in
   if npruned > 0 then Obs.Metrics.add "cone.pruned" npruned;
-  let batches = plan.Schedule.sp_batches in
-  let nbatches = Array.length batches in
-  let expected_ids = Array.map (fun b -> b.Schedule.sb_ids) batches in
-  let pruned_record =
-    if npruned = 0 then None
-    else
-      Some
-        (Jsonl.Obj
-           [
-             ("type", Jsonl.String "pruned");
-             ( "ids",
-               Jsonl.List
-                 (Array.to_list
-                    (Array.map (fun i -> Jsonl.Int i) plan.Schedule.sp_pruned))
-             );
-           ])
+  let nbatches = Array.length plan.Schedule.sp_batches in
+  {
+    cfg = config;
+    g;
+    w;
+    faults;
+    instances;
+    plan;
+    ids = Array.map (fun b -> b.Schedule.sb_ids) plan.Schedule.sp_batches;
+    header =
+      header_json ~design_name:g.Rtlir.Elaborate.design.Rtlir.Design.dname
+        ?schedule:
+          (if config.warmstart then
+             Some (Schedule.policy_name plan.Schedule.sp_policy)
+           else None)
+        config w n;
+    pruned_record =
+      (if npruned = 0 then None
+       else
+         Some
+           (Jsonl.Obj
+              [
+                ("type", Jsonl.String "pruned");
+                ("ids", ids_json plan.Schedule.sp_pruned);
+              ]));
+    (* The plan itself is journaled on warm campaigns (cold journals keep
+       their historical byte format — a cold plan is the trivial contiguous
+       one and carries no information the header lacks). *)
+    plan_record =
+      (match warm with Some _ -> Some (Schedule.to_json plan) | None -> None);
+    outcomes = Array.make nbatches None;
+    retries = Atomic.make 0;
+    restarts = Atomic.make 0;
+    jout = None;
+    hb = None;
+    executed = 0;
+    done_faults = 0;
+    det_faults = 0;
+  }
+
+(* Validate a read journal against the planned campaign and collect its
+   completed batch records. A torn final line and an unparseable final
+   record (the crash window the journal exists to survive) are dropped;
+   any other malformed line or a parameter mismatch is a {!Journal_corrupt}
+   error. The pruned and plan records must equal the ones this campaign
+   would write: the cone analysis and the planner are deterministic
+   functions of the design, so a mismatch means the journal belongs to a
+   different campaign (batch id membership is validated per batch
+   record). *)
+let replay_journal r ji =
+  Obs.Trace.with_span "journal_replay" @@ fun () ->
+  let corrupt fmt = Printf.ksprintf (fun m -> err (Journal_corrupt m)) fmt in
+  if ji.ji_header <> r.header then
+    corrupt
+      "parameter mismatch: journal was recorded by %s but this campaign is %s"
+      (Jsonl.to_string ji.ji_header)
+      (Jsonl.to_string r.header);
+  let nbatches = Array.length r.ids in
+  let seen = Hashtbl.create 16 in
+  let total = List.length ji.ji_records in
+  let outcomes = ref [] in
+  let retry_events = ref [] in
+  (* The valid prefix ends at the last completed batch record: retry events
+     and heartbeats past it belong to a batch whose record never landed —
+     re-execution regenerates them, so resume truncates there rather than
+     double-journal them. *)
+  let offset = ref ji.ji_header_bytes in
+  let clean = ref !offset in
+  List.iteri
+    (fun i line ->
+      let no = i + 1 in
+      (* a mid-line crash can only tear the final record *)
+      let unless_last fmt =
+        Printf.ksprintf
+          (fun m -> if i < total - 1 then err (Journal_corrupt m))
+          fmt
+      in
+      offset := !offset + String.length line + 1;
+      match Jsonl.parse line with
+      | exception Jsonl.Parse_error m ->
+          unless_last "record %d unreadable (%s)" no m
+      | j -> (
+          match Jsonl.member "type" j with
+          | Some (Jsonl.String "heartbeat") ->
+              (* progress heartbeats are informational *)
+              ()
+          | Some (Jsonl.String "pruned") ->
+              if Some j <> r.pruned_record then
+                corrupt
+                  "record %d: pruned-fault record does not match this \
+                   campaign's cone analysis"
+                  no
+          | Some (Jsonl.String "plan") ->
+              if Some j <> r.plan_record then
+                corrupt
+                  "record %d: plan record does not match this campaign's \
+                   schedule"
+                  no
+          | Some (Jsonl.String "retry") -> (
+              match (Jsonl.member "batch" j, Jsonl.member "kind" j) with
+              | Some (Jsonl.Int b), Some (Jsonl.String k) ->
+                  retry_events := (b, k) :: !retry_events
+              | _ -> unless_last "record %d: malformed retry record" no)
+          | _ -> (
+              match batch_of_json j with
+              | exception Jsonl.Parse_error m ->
+                  unless_last "record %d unreadable (%s)" no m
+              | b ->
+                  if b.b_index < 0 || b.b_index >= nbatches then
+                    corrupt "record %d: batch index %d out of range" no
+                      b.b_index;
+                  if Hashtbl.mem seen b.b_index then
+                    corrupt "record %d: duplicate batch %d" no b.b_index;
+                  if b.b_ids <> r.ids.(b.b_index) then
+                    corrupt
+                      "record %d: fault ids of batch %d do not match the \
+                       campaign's decomposition"
+                      no b.b_index;
+                  if
+                    Array.length b.b_detected <> Array.length b.b_ids
+                    || Array.length b.b_cycles <> Array.length b.b_ids
+                  then corrupt "record %d: verdict arrays truncated" no;
+                  Hashtbl.replace seen b.b_index ();
+                  outcomes := b :: !outcomes;
+                  clean := !offset)))
+    ji.ji_records;
+  (* count only events whose batch record landed: the rest are being
+     truncated away and will be regenerated *)
+  let count kind =
+    List.length
+      (List.filter
+         (fun (b, k) -> k = kind && Hashtbl.mem seen b)
+         !retry_events)
   in
-  (* The plan itself is journaled on warm campaigns (cold journals keep
-     their historical byte format — a cold plan is the trivial contiguous
-     one and carries no information the header lacks). *)
-  let plan_record =
-    match warm_input with
-    | Some _ -> Some (Schedule.to_json plan)
-    | None -> None
-  in
-  let design_name = g.Rtlir.Elaborate.design.Rtlir.Design.dname in
-  let expected_header =
-    header_json ~design_name
-      ?schedule:
-        (if config.warmstart then Some (Schedule.policy_name plan.Schedule.sp_policy)
-         else None)
-      config w n
-  in
-  let replay =
-    match config.journal with
-    | Some path when config.resume && Sys.file_exists path ->
-        load_journal path ~expected_header ~expected_pruned:pruned_record
-          ~expected_plan:plan_record ~expected_ids
-    | _ -> empty_replay
-  in
-  let resumed = replay.rp_outcomes in
-  let outcomes = Array.make nbatches None in
-  List.iter (fun b -> outcomes.(b.b_index) <- Some b) resumed;
-  let jout =
-    match config.journal with
-    | None -> None
-    | Some path ->
-        if resumed = [] then begin
-          (* fresh journal: truncate any stale file and write the header,
-             followed by the statically-pruned verdicts when there are any *)
+  {
+    rp_outcomes = List.rev !outcomes;
+    rp_retries = count "split";
+    rp_restarts = count "restart";
+    rp_clean_bytes = !clean;
+  }
+
+(* Install the replayed outcomes, then open the journal for appending: a
+   fresh journal truncates any stale file and writes the header, the
+   statically-pruned verdicts and the plan; a resumed one first drops its
+   crashed suffix (a torn line, an unreadable final record, orphaned retry
+   events), since writing after torn bytes would corrupt the journal for
+   the next resume. Heartbeat bookkeeping starts from the resumed batches,
+   so a resumed campaign reports true completion. *)
+let start_output r replay =
+  List.iter
+    (fun b ->
+      r.outcomes.(b.b_index) <- Some b;
+      r.done_faults <- r.done_faults + Array.length b.b_ids;
+      Array.iter (fun d -> if d then r.det_faults <- r.det_faults + 1)
+        b.b_detected)
+    replay.rp_outcomes;
+  r.jout <-
+    Option.map
+      (fun path ->
+        if replay.rp_outcomes = [] then begin
           let oc = open_out path in
-          append_record oc expected_header;
-          Option.iter (append_record oc) pruned_record;
-          Option.iter (append_record oc) plan_record;
-          Some oc
+          append_record oc r.header;
+          Option.iter (append_record oc) r.pruned_record;
+          Option.iter (append_record oc) r.plan_record;
+          oc
         end
         else begin
-          (* Drop the crashed suffix (a torn line, an unreadable final
-             record, orphaned retry events) before appending: writing after
-             torn bytes would corrupt the journal for the *next* resume. *)
-          let len = (Unix.stat path).Unix.st_size in
-          if replay.rp_clean_bytes < len then begin
+          if replay.rp_clean_bytes < (Unix.stat path).Unix.st_size then begin
             let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
             Fun.protect
               ~finally:(fun () -> Unix.close fd)
               (fun () -> Unix.ftruncate fd replay.rp_clean_bytes)
           end;
-          Some (open_out_gen [ Open_append; Open_wronly ] 0o644 path)
-        end
-  in
-  (* serial per-fault oracle over a fault-id subset *)
-  let serial_sub ids =
-    try Baselines.Serial.ifsim g w (renumber faults ids)
-    with Workload.Invalid_workload msg -> err (Bad_workload msg)
-  in
-  (* run the configured engine over [ids] with an explicit workload (the
-     budget-wrapped one for batch execution, a narrowed window for shrinker
-     replays), through the one shared {!Campaign.dispatch} point; [probe]
-     reaches the concurrent engine only. Warm starts are the plan's — any
-     subset of a batch gets the latest snapshot at or before its own
-     earliest activation — and apply only at the captured workload length:
-     the shrinker's narrowed windows run cold. *)
-  let engine_with ?probe ~worker wk ids =
-    let cc, inst =
-      match config.engine with
-      | Campaign.Ifsim | Campaign.Vfsim -> (None, None)
-      | e ->
-          let corrupt_verdict =
-            match config.inject_divergence with
-            | Some f -> index_of ids f
-            | None -> None
-          in
-          ( Some
-              {
-                Engine.Concurrent.default_config with
-                mode = Campaign.concurrent_mode e;
-                corrupt_verdict;
-              },
-            Some (instance_for worker) )
-    in
-    let goodtrace =
-      if wk.Workload.cycles = w.Workload.cycles then
-        Schedule.warm_for plan ids
-      else None
-    in
-    Campaign.dispatch ?config:cc ?probe ?goodtrace ?instance:inst
-      config.engine g wk faults ~ids
-  in
-  (* budget- and chaos-free engine entry for the shrinker: replays must be
-     pure functions of (ids, cycles) *)
-  let engine_raw ?probe ?cycles ~worker ids =
-    let wk =
-      match cycles with None -> w | Some c -> { w with Workload.cycles = c }
-    in
-    engine_with ?probe ~worker wk ids
-  in
-  let engine_on ~worker ~batch ids =
-    let deadline =
-      Option.map (fun s -> Stats.now () +. s) config.max_batch_seconds
-    in
-    let wb =
-      Workload.with_budget ?max_cycles:config.max_batch_cycles ?deadline w
-    in
-    let wb =
-      (* chaos: stall the first drive call past the deadline, once per
-         batch, so the watchdog (not the chaos harness) kills the batch *)
-      if Chaos.active () && Chaos.stall ~batch then
-        let drive c =
-          if c = 0 then
-            Unix.sleepf
-              (match config.max_batch_seconds with
-              | Some s -> (2.0 *. s) +. 0.01
-              | None -> 0.05);
-          wb.Workload.drive c
+          open_out_gen [ Open_append; Open_wronly ] 0o644 path
+        end)
+      r.cfg.journal;
+  r.hb <-
+    Option.map
+      (fun interval ->
+        Obs.Heartbeat.create ~interval
+          ~total:
+            (Array.length r.faults - Array.length r.plan.Schedule.sp_pruned)
+          ())
+      r.cfg.progress
+
+(* ---- batch execution ---- *)
+
+(* Run the configured engine over [ids] with an explicit workload (the
+   budget-wrapped one for batch execution, a narrowed window for shrinker
+   replays), through the one shared {!Campaign.dispatch} point; [probe]
+   reaches the concurrent engine only. Warm starts are the plan's — any
+   subset of a batch gets the latest snapshot at or before its own earliest
+   activation — and apply only at the captured workload length: the
+   shrinker's narrowed windows run cold. *)
+let engine_with r ?probe ~worker (wk : Workload.t) ids =
+  let cc, inst =
+    match r.cfg.engine with
+    | Campaign.Ifsim | Campaign.Vfsim -> (None, None)
+    | e ->
+        let corrupt_verdict =
+          Option.bind r.cfg.inject_divergence (fun f ->
+              Array.find_index (( = ) f) ids)
         in
-        { wb with Workload.drive }
-      else wb
-    in
-    engine_with ~worker wb ids
+        ( Some
+            {
+              Engine.Concurrent.default_config with
+              mode = Campaign.concurrent_mode e;
+              corrupt_verdict;
+            },
+          Some (instance_for r.instances r.g worker) )
   in
-  let retries = Atomic.make 0 in
-  let restarts = Atomic.make 0 in
-  let ids_json ids =
-    Jsonl.List (Array.to_list (Array.map (fun i -> Jsonl.Int i) ids))
+  let goodtrace =
+    if wk.Workload.cycles = r.w.Workload.cycles then
+      Schedule.warm_for r.plan ids
+    else None
   in
-  let split_event b ids cycle reason =
-    Jsonl.Obj
-      [
-        ("type", Jsonl.String "retry");
-        ("kind", Jsonl.String "split");
-        ("batch", Jsonl.Int b);
-        ("ids", ids_json ids);
-        ("cycle", Jsonl.Int cycle);
-        ("reason", Jsonl.String reason);
-      ]
+  Campaign.dispatch ?config:cc ?probe ?goodtrace ?instance:inst r.cfg.engine
+    r.g wk r.faults ~ids
+
+(* budget- and chaos-free engine entry for the shrinker: replays must be
+   pure functions of (ids, cycles) *)
+let engine_at r ?probe ~worker ~cycles ids =
+  engine_with r ?probe ~worker { r.w with Workload.cycles } ids
+
+let engine_on r ~worker ~batch ids =
+  let config = r.cfg in
+  let deadline =
+    Option.map (fun s -> Stats.now () +. s) config.max_batch_seconds
   in
-  let restart_event b attempt error =
-    Jsonl.Obj
-      [
-        ("type", Jsonl.String "retry");
-        ("kind", Jsonl.String "restart");
-        ("batch", Jsonl.Int b);
-        ("attempt", Jsonl.Int attempt);
-        ("error", Jsonl.String error);
-      ]
+  let wb =
+    Workload.with_budget ?max_cycles:config.max_batch_cycles ?deadline r.w
   in
-  let quarantine_event b ids =
-    Jsonl.Obj
-      [
-        ("type", Jsonl.String "retry");
-        ("kind", Jsonl.String "quarantine");
-        ("batch", Jsonl.Int b);
-        ("ids", ids_json ids);
-      ]
+  let wb =
+    (* chaos: stall the first drive call past the deadline, once per batch,
+       so the watchdog (not the chaos harness) kills the batch *)
+    if Chaos.active () && Chaos.stall ~batch then
+      let drive c =
+        if c = 0 then
+          Unix.sleepf
+            (match config.max_batch_seconds with
+            | Some s -> (2.0 *. s) +. 0.01
+            | None -> 0.05);
+        wb.Workload.drive c
+      in
+      { wb with Workload.drive }
+    else wb
   in
-  (* Errors supervision must never swallow: structured campaign failures,
-     the chaos harness's simulated crash, and pool teardown. *)
-  let fatal = function
-    | Campaign_error _ | Chaos.Killed _ | Pool.Shutdown -> true
-    | _ -> false
+  engine_with r ~worker wb ids
+
+(* The serial per-fault oracle over a fault-id subset. *)
+let serial r ?(cycles = r.w.Workload.cycles) ids =
+  try
+    Campaign.dispatch Campaign.Ifsim r.g { r.w with Workload.cycles } r.faults
+      ~ids
+  with Workload.Invalid_workload msg -> err (Bad_workload msg)
+
+let retry_event b kind fields =
+  Jsonl.Obj
+    ([
+       ("type", Jsonl.String "retry");
+       ("kind", Jsonl.String kind);
+       ("batch", Jsonl.Int b);
+     ]
+    @ fields)
+
+let split_event b ids cycle reason =
+  retry_event b "split"
+    [
+      ("ids", ids_json ids);
+      ("cycle", Jsonl.Int cycle);
+      ("reason", Jsonl.String reason);
+    ]
+
+let restart_event b attempt error =
+  retry_event b "restart"
+    [ ("attempt", Jsonl.Int attempt); ("error", Jsonl.String error) ]
+
+let quarantine_event b ids =
+  retry_event b "quarantine" [ ("ids", ids_json ids) ]
+
+(* Errors supervision must never swallow: structured campaign failures,
+   the chaos harness's simulated crash, and pool teardown. *)
+let fatal = function
+  | Campaign_error _ | Chaos.Killed _ | Pool.Shutdown -> true
+  | _ -> false
+
+(* Per-fault quarantine, the supervisor's last resort once halving and
+   restarts are exhausted: each fault runs alone with a fresh budget, and a
+   fault that still fails is abandoned — reported undetected and listed in
+   [b_failed] — instead of looping or aborting the campaign. *)
+let quarantine_pieces r ~worker ~events b_index ids =
+  events := quarantine_event b_index ids :: !events;
+  Array.to_list (Schedule.singletons ids)
+  |> List.map (fun piece ->
+         match engine_on r ~worker ~batch:b_index piece with
+         | res -> (piece, Some res)
+         | exception Workload.Budget_exceeded _ -> (piece, None)
+         | exception Workload.Invalid_workload msg -> err (Bad_workload msg)
+         | exception e when not (fatal e) ->
+             r.instances.(worker) <- None;
+             (piece, None))
+
+(* Run one batch under the watchdog. A budget trip refines the plan:
+   {!Schedule.halve} splits the batch into its two order-preserving halves,
+   each retried with a fresh budget (and, being a smaller fault set, a warm
+   start at or past the parent's), down to unsplittable single-fault
+   batches or [max_retries] split generations — whichever comes first —
+   then reports a structured timeout (or, supervised, falls back to
+   per-fault quarantine, the singleton refinement). A crash inside the
+   engine discards the worker's instance so the retry runs on a freshly
+   built one. *)
+let rec exec_pieces r ~worker ~events b_index depth ids =
+  let config = r.cfg in
+  match engine_on r ~worker ~batch:b_index ids with
+  | res -> [ (ids, Some res) ]
+  | exception Workload.Budget_exceeded { cycle; reason } -> (
+      match Schedule.halve ids with
+      | Some (left, right) when depth < config.max_retries ->
+          Atomic.incr r.retries;
+          events := split_event b_index ids cycle reason :: !events;
+          exec_pieces r ~worker ~events b_index (depth + 1) left
+          @ exec_pieces r ~worker ~events b_index (depth + 1) right
+      | _ ->
+          if config.supervise then
+            quarantine_pieces r ~worker ~events b_index ids
+          else err (Batch_timeout { batch = b_index; ids; cycle; reason }))
+  | exception Workload.Invalid_workload msg -> err (Bad_workload msg)
+  | exception e when config.supervise && not (fatal e) ->
+      r.instances.(worker) <- None;
+      Atomic.incr r.restarts;
+      events := restart_event b_index depth (Printexc.to_string e) :: !events;
+      if depth < config.max_retries then
+        exec_pieces r ~worker ~events b_index (depth + 1) ids
+      else quarantine_pieces r ~worker ~events b_index ids
+
+(* ---- oracle check and shrinking ---- *)
+
+let oracle_sampled config b_index =
+  config.oracle_sample > 0.0
+  && (config.oracle_sample >= 1.0
+     ||
+     let rng =
+       Rng.create
+         (Int64.logxor config.sample_seed
+            (Int64.of_int ((b_index + 1) * 0x9E3779B9)))
+     in
+     Rng.int rng 1_000_000 < int_of_float (config.oracle_sample *. 1_000_000.))
+
+let out_name r i =
+  Rtlir.Design.signal_name r.g.Rtlir.Elaborate.design
+    r.g.Rtlir.Elaborate.outputs.(i)
+
+(* Expected (oracle-side) output-port values of one faulty network at cycle
+   [at] over window [cycles] — a lone simulator in the serial oracle's
+   IFsim configuration. *)
+let oracle_outputs r fault_id ~cycles ~at =
+  let g = r.g in
+  let sim, on_cycle_start =
+    Baselines.Serial.faulty_sim ~config:Baselines.Serial.ifsim_config g
+      r.faults.(fault_id)
   in
-  (* Per-fault quarantine, the supervisor's last resort once halving and
-     restarts are exhausted: each fault runs alone with a fresh budget, and
-     a fault that still fails is abandoned — reported undetected and listed
-     in [b_failed] — instead of looping or aborting the campaign. *)
-  let quarantine_pieces ~worker ~events b_index ids =
-    events := quarantine_event b_index ids :: !events;
-    Array.to_list (Schedule.singletons ids)
-    |> List.map (fun piece ->
-           match engine_on ~worker ~batch:b_index piece with
-           | r -> (piece, Some r)
-           | exception Workload.Budget_exceeded _ -> (piece, None)
-           | exception Workload.Invalid_workload msg -> err (Bad_workload msg)
-           | exception e when not (fatal e) ->
-               instances.(worker) <- None;
-               (piece, None))
+  let wc =
+    Workload.checked
+      ~num_signals:(Rtlir.Design.num_signals g.Rtlir.Elaborate.design)
+      { r.w with Workload.cycles }
   in
-  (* Run one batch under the watchdog. A budget trip refines the plan:
-     {!Schedule.halve} splits the batch into its two order-preserving
-     halves, each retried with a fresh budget (and, being a smaller fault
-     set, a warm start at or past the parent's), down to unsplittable
-     single-fault batches or [max_retries] split generations — whichever
-     comes first — then reports a structured timeout (or, supervised,
-     falls back to per-fault quarantine, the singleton refinement). A
-     crash inside the engine discards the worker's instance so the retry
-     runs on a freshly built one. *)
-  let rec exec_pieces ~worker ~events b_index depth ids =
-    match engine_on ~worker ~batch:b_index ids with
-    | r -> [ (ids, Some r) ]
-    | exception Workload.Budget_exceeded { cycle; reason } -> (
-        match Schedule.halve ids with
-        | Some (left, right) when depth < config.max_retries ->
-            Atomic.incr retries;
-            events := split_event b_index ids cycle reason :: !events;
-            exec_pieces ~worker ~events b_index (depth + 1) left
-            @ exec_pieces ~worker ~events b_index (depth + 1) right
-        | _ ->
-            if config.supervise then
-              quarantine_pieces ~worker ~events b_index ids
-            else err (Batch_timeout { batch = b_index; ids; cycle; reason }))
-    | exception Workload.Invalid_workload msg -> err (Bad_workload msg)
-    | exception e when config.supervise && not (fatal e) ->
-        instances.(worker) <- None;
-        Atomic.incr restarts;
-        events := restart_event b_index depth (Printexc.to_string e) :: !events;
-        if depth < config.max_retries then
-          exec_pieces ~worker ~events b_index (depth + 1) ids
-        else quarantine_pieces ~worker ~events b_index ids
-  in
-  let oracle_sampled b_index =
-    config.oracle_sample > 0.0
-    && (config.oracle_sample >= 1.0
-       ||
-       let rng =
-         Rng.create
-           (Int64.logxor config.sample_seed
-              (Int64.of_int ((b_index + 1) * 0x9E3779B9)))
-       in
-       Rng.int rng 1_000_000
-       < int_of_float (config.oracle_sample *. 1_000_000.))
-  in
-  (* ---- shrinker support ---- *)
-  let nout = Array.length g.Rtlir.Elaborate.outputs in
-  let out_name i =
-    Rtlir.Design.signal_name g.Rtlir.Elaborate.design
-      g.Rtlir.Elaborate.outputs.(i)
-  in
-  (* Expected (oracle-side) output-port values of one faulty network at
-     cycle [at] over window [cycles] — a lone simulator in the serial
-     oracle's IFsim configuration. *)
-  let oracle_outputs fault_id ~cycles ~at =
-    let sim, on_cycle_start =
-      Baselines.Serial.faulty_sim ~config:Baselines.Serial.ifsim_config g
-        faults.(fault_id)
-    in
-    let wc =
-      Workload.checked
-        ~num_signals:(Rtlir.Design.num_signals g.Rtlir.Elaborate.design)
-        { w with Workload.cycles }
-    in
-    let vals = Array.make nout "" in
-    Workload.run ~on_cycle_start wc
-      ~set_input:(Sim.Simulator.set_input sim)
-      ~step:(fun () -> Sim.Simulator.step sim)
-      ~observe:(fun c ->
-        if c = at then begin
+  let vals = Array.make (Array.length g.Rtlir.Elaborate.outputs) "" in
+  Workload.run ~on_cycle_start wc
+    ~set_input:(Sim.Simulator.set_input sim)
+    ~step:(fun () -> Sim.Simulator.step sim)
+    ~observe:(fun c ->
+      if c = at then begin
+        Array.iteri
+          (fun i b -> vals.(i) <- Rtlir.Bits.to_string b)
+          (Sim.Simulator.outputs sim);
+        false
+      end
+      else true);
+  vals
+
+(* Observed (engine-side) output-port values for [fault_id] inside the
+   co-batched set [ids] at cycle [at], via the concurrent engine's probe.
+   [None] for serial engines, which have no probe seam. *)
+let engine_outputs r ~worker ids fault_id ~cycles ~at =
+  match r.cfg.engine with
+  | Campaign.Ifsim | Campaign.Vfsim -> None
+  | _ ->
+      let outputs = r.g.Rtlir.Elaborate.outputs in
+      let k =
+        Option.value (Array.find_index (( = ) fault_id) ids) ~default:0
+      in
+      let vals = Array.make (Array.length outputs) "" in
+      let probe c view _mem =
+        if c = at then
           Array.iteri
-            (fun i b -> vals.(i) <- Rtlir.Bits.to_string b)
-            (Sim.Simulator.outputs sim);
-          false
-        end
-        else true);
-    vals
-  in
-  (* Observed (engine-side) output-port values for [fault_id] inside the
-     co-batched set [ids] at cycle [at], via the concurrent engine's probe.
-     [None] for serial engines, which have no probe seam. *)
-  let engine_outputs ~worker ids fault_id ~cycles ~at =
-    match config.engine with
-    | Campaign.Ifsim | Campaign.Vfsim -> None
-    | _ ->
-        let k = match index_of ids fault_id with Some k -> k | None -> 0 in
-        let vals = Array.make nout "" in
-        let probe c view _mem =
-          if c = at then
-            for i = 0 to nout - 1 do
-              vals.(i) <-
-                Rtlir.Bits.to_string (view k g.Rtlir.Elaborate.outputs.(i))
-            done
-        in
-        ignore (engine_raw ~probe ~cycles ~worker ids);
-        Some vals
-  in
-  (* Shrink one confirmed divergence to a minimal reproducer and write the
-     [repro-<fault>.json] file. [None] when the divergence does not
-     reproduce from the batch starting point (flake) or no repro dir is
-     configured. *)
-  let shrink_one ~worker ids (d : divergence) =
-    match config.repro_dir with
-    | None -> None
-    | Some dir ->
-        let run_engine ~ids ~cycles = engine_raw ~cycles ~worker ids in
-        let run_oracle ~id ~cycles =
-          let r =
-            try
-              Baselines.Serial.ifsim g
-                { w with Workload.cycles }
-                (renumber faults [| id |])
-            with Workload.Invalid_workload msg -> err (Bad_workload msg)
+            (fun i o -> vals.(i) <- Rtlir.Bits.to_string (view k o))
+            outputs
+      in
+      ignore (engine_at r ~probe ~cycles ~worker ids);
+      Some vals
+
+(* Shrink one confirmed divergence to a minimal reproducer and write the
+   [repro-<fault>.json] file. [None] when the divergence does not reproduce
+   from the batch starting point (flake) or no repro dir is configured. *)
+let shrink_one r ~worker ids (d : divergence) =
+  match r.cfg.repro_dir with
+  | None -> None
+  | Some dir -> (
+      let run_engine ~ids ~cycles = engine_at r ~cycles ~worker ids in
+      let run_oracle ~id ~cycles =
+        let o = serial r ~cycles [| id |] in
+        (o.Fault.detected.(0), o.Fault.detection_cycle.(0))
+      in
+      let observe ~ids ~cycles =
+        let od, oc = run_oracle ~id:d.div_fault ~cycles in
+        let at = if od && oc >= 0 then oc else cycles - 1 in
+        if at < 0 then []
+        else
+          let expected = oracle_outputs r d.div_fault ~cycles ~at in
+          match engine_outputs r ~worker ids d.div_fault ~cycles ~at with
+          | None -> []
+          | Some observed ->
+              List.init (Array.length expected) (fun i ->
+                  (out_name r i, expected.(i), observed.(i)))
+      in
+      match
+        Shrink.shrink ~run_engine ~run_oracle ~refine:Schedule.halve ~observe
+          ~fault:d.div_fault ~ids ~cycles:r.w.Workload.cycles ()
+      with
+      | None -> None
+      | Some o ->
+          if not (Sys.file_exists dir) then (
+            try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
+          let file = Printf.sprintf "repro-%d.json" o.Shrink.sh_fault in
+          let fault = r.faults.(o.Shrink.sh_fault) in
+          let json =
+            Shrink.repro_to_json
+              ~design:r.g.Rtlir.Elaborate.design.Rtlir.Design.dname
+              ~engine:(Campaign.engine_name r.cfg.engine)
+              ?circuit:r.cfg.repro_meta ?inject:r.cfg.inject_divergence ~fault
+              ~fault_name:(Fault.describe r.g.Rtlir.Elaborate.design fault)
+              o
           in
-          (r.Fault.detected.(0), r.Fault.detection_cycle.(0))
-        in
-        let observe ~ids ~cycles =
-          let od, oc = run_oracle ~id:d.div_fault ~cycles in
-          let at = if od && oc >= 0 then oc else cycles - 1 in
-          if at < 0 then []
-          else
-            let expected = oracle_outputs d.div_fault ~cycles ~at in
-            match engine_outputs ~worker ids d.div_fault ~cycles ~at with
-            | None -> []
-            | Some observed ->
-                List.init nout (fun i ->
-                    (out_name i, expected.(i), observed.(i)))
-        in
-        (match
-           Shrink.shrink ~run_engine ~run_oracle ~refine:Schedule.halve
-             ~observe ~fault:d.div_fault
-             ~ids ~cycles:w.Workload.cycles ()
-         with
-        | None -> None
-        | Some o ->
-            if not (Sys.file_exists dir) then (
-              try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
-            let file = Printf.sprintf "repro-%d.json" o.Shrink.sh_fault in
-            let json =
-              Shrink.repro_to_json ~design:design_name
-                ~engine:(Campaign.engine_name config.engine)
-                ?circuit:config.repro_meta ?inject:config.inject_divergence
-                ~fault:faults.(o.Shrink.sh_fault)
-                ~fault_name:
-                  (Fault.describe g.Rtlir.Elaborate.design
-                     faults.(o.Shrink.sh_fault))
-                o
-            in
-            write_atomic (Filename.concat dir file) (fun oc ->
-                output_string oc (Jsonl.to_string json);
-                output_char oc '\n');
-            Some file)
-  in
-  let run_one_batch ~worker ~events b_index ids =
+          write_atomic (Filename.concat dir file) (fun oc ->
+              output_string oc (Jsonl.to_string json);
+              output_char oc '\n');
+          Some file)
+
+(* Re-check a sampled batch against the serial oracle. A disagreeing fault
+   is quarantined: re-simulated alone, serially; that verdict is final
+   (overwritten into [detected]/[cycles]) and the engine's is reported as
+   divergent. A detection-cycle mismatch between two detections counts — it
+   is the same engine bug caught one observation later. Abandoned faults
+   ([failed]) are not checked. Returns whether the batch was sampled, its
+   divergences and the repro files shrunk from them. *)
+let check r ~worker b_index ids ~detected ~cycles ~failed =
+  if not (oracle_sampled r.cfg b_index) then (false, [], [])
+  else begin
+    let oracle = serial r ids in
+    let divergences = ref [] in
+    Array.iteri
+      (fun k id ->
+        if
+          (not failed.(k))
+          && (oracle.Fault.detected.(k) <> detected.(k)
+             || oracle.Fault.detected.(k)
+                && oracle.Fault.detection_cycle.(k) <> cycles.(k))
+        then begin
+          let lone = serial r [| id |] in
+          let d =
+            {
+              div_fault = id;
+              div_batch = b_index;
+              engine_detected = detected.(k);
+              engine_cycle = cycles.(k);
+              oracle_detected = lone.Fault.detected.(0);
+              oracle_cycle = lone.Fault.detection_cycle.(0);
+            }
+          in
+          divergences := d :: !divergences;
+          detected.(k) <- d.oracle_detected;
+          cycles.(k) <- d.oracle_cycle
+        end)
+      ids;
+    let divergences = List.rev !divergences in
+    if divergences <> [] && not r.cfg.quarantine then
+      err (Engine_divergence divergences);
+    (true, divergences, List.filter_map (shrink_one r ~worker ids) divergences)
+  end
+
+(* One batch task, wherever it runs: the chaos seam, the watchdog-guarded
+   pieces, the oracle check. A task that raises discards its worker's
+   engine instance (the crash may have left it mid-batch), so a restart
+   runs on a freshly built one. *)
+let task r ~worker ~events b_index =
+  let ids = r.ids.(b_index) in
+  try
+    Chaos.batch_start ~batch:b_index;
     let t = Stats.now () in
     let span_t0 = Obs.Trace.span_begin "batch" in
-    let pieces = exec_pieces ~worker ~events b_index 0 ids in
+    let pieces = exec_pieces r ~worker ~events b_index 0 ids in
     let nb = Array.length ids in
     let detected = Array.make nb false in
     let cycles = Array.make nb (-1) in
@@ -973,68 +992,25 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
     let stats = ref (Stats.create ()) in
     let pos = ref 0 in
     List.iter
-      (fun (pids, r) ->
-        (match r with
-        | Some (r : Fault.result) ->
+      (fun (pids, res) ->
+        (match res with
+        | Some (res : Fault.result) ->
             Array.iteri
               (fun k _ ->
-                detected.(!pos + k) <- r.Fault.detected.(k);
-                cycles.(!pos + k) <- r.Fault.detection_cycle.(k))
+                detected.(!pos + k) <- res.Fault.detected.(k);
+                cycles.(!pos + k) <- res.Fault.detection_cycle.(k))
               pids;
-            stats := Stats.add !stats r.Fault.stats
+            stats := Stats.add !stats res.Fault.stats
         | None ->
             (* abandoned by quarantine: verdict unknown, reported
                undetected and listed in [b_failed] *)
-            Array.iteri (fun k _ -> failed.(!pos + k) <- true) pids);
+            Array.fill failed !pos (Array.length pids) true);
         pos := !pos + Array.length pids)
       pieces;
-    let divergences = ref [] in
-    let sampled = oracle_sampled b_index in
-    if sampled then begin
-      let oracle = serial_sub ids in
-      Array.iteri
-        (fun k id ->
-          if
-            (not failed.(k))
-            && (oracle.Fault.detected.(k) <> detected.(k)
-               || (oracle.Fault.detected.(k)
-                  && oracle.Fault.detection_cycle.(k) <> cycles.(k)))
-          then begin
-            (* quarantine: the fault is re-simulated alone, serially; that
-               verdict is final and the engine's is reported as divergent.
-               A detection-cycle mismatch between two detections counts —
-               it is the same engine bug caught one observation later. *)
-            let lone = serial_sub [| id |] in
-            let d =
-              {
-                div_fault = id;
-                div_batch = b_index;
-                engine_detected = detected.(k);
-                engine_cycle = cycles.(k);
-                oracle_detected = lone.Fault.detected.(0);
-                oracle_cycle = lone.Fault.detection_cycle.(0);
-              }
-            in
-            divergences := d :: !divergences;
-            detected.(k) <- d.oracle_detected;
-            cycles.(k) <- d.oracle_cycle
-          end)
-        ids;
-      if !divergences <> [] && not config.quarantine then
-        err (Engine_divergence (List.rev !divergences))
-    end;
-    let divergences = List.rev !divergences in
-    let repros =
-      if config.repro_dir = None then []
-      else
-        List.filter_map (fun d -> shrink_one ~worker ids d) divergences
+    let sampled, divergences, repros =
+      check r ~worker b_index ids ~detected ~cycles ~failed
     in
     Obs.Trace.span_end "batch" span_t0;
-    let b_failed =
-      let l = ref [] in
-      Array.iteri (fun k id -> if failed.(k) then l := id :: !l) ids;
-      Array.of_list (List.rev !l)
-    in
     {
       b_index;
       b_ids = ids;
@@ -1044,186 +1020,144 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
       b_wall = Stats.now () -. t;
       b_oracle_checked = sampled;
       b_divergences = divergences;
-      b_failed;
+      b_failed =
+        Array.of_list
+          (List.filteri (fun k _ -> failed.(k)) (Array.to_list ids));
       b_repros = repros;
     }
-  in
-  (* A batch whose task crashed [max_retries + 1] times even under
-     supervision: every fault abandoned, nothing executed. *)
-  let abandoned_outcome ~events i ids =
-    events := quarantine_event i ids :: !events;
-    {
-      b_index = i;
-      b_ids = ids;
-      b_detected = Array.make (Array.length ids) false;
-      b_cycles = Array.make (Array.length ids) (-1);
-      b_stats = Stats.create ();
-      b_wall = 0.0;
-      b_oracle_checked = false;
-      b_divergences = [];
-      b_failed = Array.copy ids;
-      b_repros = [];
-    }
-  in
-  let executed = ref 0 in
-  (* Heartbeat bookkeeping starts from the resumed batches so a resumed
-     campaign reports true completion, not just this invocation's share. *)
-  let done_faults = ref 0 in
-  let det_faults = ref 0 in
-  let count_batch b =
-    done_faults := !done_faults + Array.length b.b_ids;
-    Array.iter (fun d -> if d then incr det_faults) b.b_detected
-  in
-  List.iter count_batch resumed;
-  let hb =
-    Option.map
-      (fun interval -> Obs.Heartbeat.create ~interval ~total:nlive ())
-      config.progress
-  in
-  (* The coordinator is the only domain that touches [outcomes] and the
-     journal: workers hand finished batches back through futures, and the
-     coordinator records them in batch-index order. The journal therefore
-     always holds an index-ordered prefix (plus resumed records), and the
-     final merge below is independent of which worker ran which batch — the
-     report is byte-identical for any [jobs]. *)
-  let record i (b, events) =
-    outcomes.(i) <- Some b;
-    incr executed;
-    count_batch b;
-    (match jout with
-    | Some oc ->
-        (* retry/restart/quarantine events land just before their batch
-           record, so the journal's clean prefix always ends at a batch
-           record and resume counts exactly the events it keeps *)
-        List.iter (fun e -> append_record ~chaos_batch:i oc e) events;
-        append_record ~chaos_batch:i oc (batch_to_json b)
-    | None -> ());
-    match hb with
-    | None -> ()
-    | Some hb -> (
-        match
-          Obs.Heartbeat.update hb ~done_:!done_faults ~detected:!det_faults
-        with
-        | None -> ()
-        | Some tick ->
-            prerr_endline (Obs.Heartbeat.to_line hb tick);
-            (match jout with
-            | Some oc ->
-                output_string oc (Obs.Heartbeat.to_json hb tick);
-                output_char oc '\n';
-                flush oc
-            | None -> ()))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      match jout with Some oc -> close_out_noerr oc | None -> ())
-    (fun () ->
-      if config.jobs = 1 then
-        for i = 0 to nbatches - 1 do
-          match outcomes.(i) with
-          | Some _ -> ()
-          | None ->
-              let events = ref [] in
-              (* Supervised: a task-level crash (chaos injection, or a bug
-                 outside exec_pieces's own recovery) discards the worker's
-                 engine and re-runs the whole batch, up to [max_retries]
-                 attempts, then abandons it. *)
-              let rec go attempt =
-                match
-                  Chaos.batch_start ~batch:i;
-                  run_one_batch ~worker:0 ~events i expected_ids.(i)
-                with
-                | b -> b
-                | exception e when config.supervise && not (fatal e) ->
-                    instances.(0) <- None;
-                    Atomic.incr restarts;
-                    events :=
-                      restart_event i attempt (Printexc.to_string e)
-                      :: !events;
-                    if attempt < config.max_retries then go (attempt + 1)
-                    else abandoned_outcome ~events i expected_ids.(i)
-              in
-              let b = go 0 in
-              record i (b, List.rev !events)
-        done
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    r.instances.(worker) <- None;
+    Printexc.raise_with_backtrace e bt
+
+(* ---- recording and dispatch ---- *)
+
+(* Record one finished batch, on the coordinator, in batch-index order. The
+   coordinator is the only domain that touches [outcomes] and the journal,
+   so the journal always holds an index-ordered prefix (plus resumed
+   records), and the merge is independent of which worker ran which batch —
+   the report is byte-identical for any [jobs]. Retry, restart and
+   quarantine events land just before their batch record, so the journal's
+   clean prefix always ends at a batch record and resume counts exactly the
+   events it keeps. *)
+let record r i b events =
+  r.outcomes.(i) <- Some b;
+  r.executed <- r.executed + 1;
+  r.done_faults <- r.done_faults + Array.length b.b_ids;
+  Array.iter (fun d -> if d then r.det_faults <- r.det_faults + 1) b.b_detected;
+  Option.iter
+    (fun oc ->
+      List.iter (append_record ~chaos_batch:i oc) events;
+      append_record ~chaos_batch:i oc (batch_to_json b))
+    r.jout;
+  Option.iter
+    (fun hb ->
+      match
+        Obs.Heartbeat.update hb ~done_:r.done_faults ~detected:r.det_faults
+      with
+      | None -> ()
+      | Some tick ->
+          prerr_endline (Obs.Heartbeat.to_line hb tick);
+          Option.iter
+            (fun oc ->
+              output_string oc (Obs.Heartbeat.to_json hb tick);
+              output_char oc '\n';
+              flush oc)
+            r.jout)
+    r.hb
+
+(* A batch whose task crashed [max_retries + 1] times even under
+   supervision: every fault abandoned, nothing executed. *)
+let abandoned_outcome ~events i ids =
+  events := quarantine_event i ids :: !events;
+  {
+    b_index = i;
+    b_ids = ids;
+    b_detected = Array.make (Array.length ids) false;
+    b_cycles = Array.make (Array.length ids) (-1);
+    b_stats = Stats.create ();
+    b_wall = 0.0;
+    b_oracle_checked = false;
+    b_divergences = [];
+    b_failed = Array.copy ids;
+    b_repros = [];
+  }
+
+(* Obtain batch [i]'s outcome and record it. Supervised, a task that failed
+   (a chaos injection, or a bug outside [exec_pieces]'s own recovery) is
+   started again as a fresh task, up to [max_retries] times, then
+   abandoned. Recovery happens in batch-index order, so it is deterministic
+   given the failure schedule. *)
+let rec supervise r ~start i events obtain attempt =
+  match obtain () with
+  | Ok b -> record r i b (List.rev !events)
+  | Error (e, bt) when (not r.cfg.supervise) || fatal e ->
+      Printexc.raise_with_backtrace e bt
+  | Error (e, _) ->
+      Atomic.incr r.restarts;
+      events := restart_event i attempt (Printexc.to_string e) :: !events;
+      if attempt < r.cfg.max_retries then
+        supervise r ~start i events (start events i) (attempt + 1)
       else
-        Pool.with_pool ~jobs:config.jobs (fun pool ->
-            let submit events i =
-              (* the label routes the batch index to the pool's chaos seam *)
-              Pool.submit ~label:i pool (fun (ctx : Pool.ctx) ->
-                  run_one_batch ~worker:ctx.Pool.worker ~events i
-                    expected_ids.(i))
+        let b = abandoned_outcome ~events i r.ids.(i) in
+        record r i b (List.rev !events)
+
+(* The one dispatch-and-supervise loop. [start events i] starts batch [i]'s
+   task and returns the function that obtains its outcome. Every pending
+   batch is started costliest-first (the plan's cost hint), so on a pool
+   the long pole starts before the workers fill up with short batches;
+   outcomes are obtained — and therefore journaled and merged — in
+   batch-index order, whatever the start order. Where a task runs is the
+   only thing [jobs] decides: at [jobs = 1] it runs inline on the calling
+   domain when it is obtained (a spawned domain ran the same campaign
+   measurably slower, see DESIGN.md §9); above that it is submitted to a
+   pool of [jobs] worker domains. *)
+let execute r =
+  let loop start =
+    let order = Array.init (Array.length r.ids) Fun.id in
+    let cost i = r.plan.Schedule.sp_batches.(i).Schedule.sb_cost in
+    Array.stable_sort (fun a b -> compare (cost b) (cost a)) order;
+    let started = Array.make (Array.length r.ids) None in
+    Array.iter
+      (fun i ->
+        if r.outcomes.(i) = None then
+          let events = ref [] in
+          started.(i) <- Some (events, start events i))
+      order;
+    Array.iteri
+      (fun i ->
+        Option.iter (fun (events, obtain) ->
+            supervise r ~start i events obtain 0))
+      started
+  in
+  if r.cfg.jobs = 1 then
+    loop (fun events i () ->
+        match task r ~worker:0 ~events i with
+        | b -> Ok b
+        | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+  else
+    Pool.with_pool ~jobs:r.cfg.jobs (fun pool ->
+        loop (fun events i ->
+            let fut =
+              Pool.submit pool (fun ctx ->
+                  task r ~worker:ctx.Pool.worker ~events i)
             in
-            (* Submit outstanding batches costliest-first (the plan's cost
-               hint) so the long pole starts before the pool fills with
-               short batches; await — and therefore journal and merge — in
-               batch-index order below, so reports and journals keep their
-               bytes for any submission order. *)
-            let futures = Array.make nbatches None in
-            let order = Array.init nbatches (fun i -> i) in
-            Array.sort
-              (fun a b ->
-                match
-                  compare batches.(b).Schedule.sb_cost
-                    batches.(a).Schedule.sb_cost
-                with
-                | 0 -> compare a b
-                | c -> c)
-              order;
-            Array.iter
-              (fun i ->
-                match outcomes.(i) with
-                | Some _ -> ()
-                | None ->
-                    let events = ref [] in
-                    futures.(i) <- Some (events, submit events i))
-              order;
-            Array.iteri
-              (fun i slot ->
-                match slot with
-                | None -> ()
-                | Some (events, fut) ->
-                    (* The coordinator, not the worker, supervises task
-                       failures for jobs > 1: a failed future is
-                       re-dispatched as a fresh task (any worker may pick
-                       it up — the crashed worker already discarded its own
-                       engine where it could; the pool chaos seam fails
-                       before any engine is touched). Re-dispatch happens
-                       in batch-index order, so recovery is deterministic
-                       given the failure schedule. *)
-                    let rec obtain fut attempt =
-                      match Pool.await_result fut with
-                      | Ok b -> record i (b, List.rev !events)
-                      | Error (e, bt) ->
-                          if (not config.supervise) || fatal e then
-                            Printexc.raise_with_backtrace e bt
-                          else begin
-                            Atomic.incr restarts;
-                            events :=
-                              restart_event i attempt (Printexc.to_string e)
-                              :: !events;
-                            if attempt < config.max_retries then
-                              obtain (submit events i) (attempt + 1)
-                            else begin
-                              let b =
-                                abandoned_outcome ~events i expected_ids.(i)
-                              in
-                              record i (b, List.rev !events)
-                            end
-                          end
-                    in
-                    obtain fut 0)
-              futures));
+            fun () -> Pool.await_result fut))
+
+(* Fold the index-ordered outcomes into one campaign result. *)
+let merge r ~t0 replay =
+  Obs.Trace.with_span "merge" @@ fun () ->
+  let n = Array.length r.faults in
   let detected = Array.make n false in
   let detection_cycle = Array.make n (-1) in
   let stats = ref (Stats.create ()) in
   let divergences = ref [] in
   let oracle_checked = ref 0 in
   let failed_faults = ref [] in
-  let repro_files = ref [] in
+  let repros = ref [] in
   Array.iter
     (function
-      | None -> assert false (* every index was filled above *)
+      | None -> assert false (* [execute] filled every index *)
       | Some b ->
           Array.iteri
             (fun k id ->
@@ -1233,41 +1167,51 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
           stats := Stats.add !stats b.b_stats;
           if b.b_oracle_checked then incr oracle_checked;
           divergences := !divergences @ b.b_divergences;
-          Array.iter (fun id -> failed_faults := id :: !failed_faults)
-            b.b_failed;
-          repro_files := !repro_files @ b.b_repros)
-    outcomes;
+          failed_faults :=
+            List.rev_append (Array.to_list b.b_failed) !failed_faults;
+          repros := !repros @ b.b_repros)
+    r.outcomes;
   let wall = Stats.now () -. t0 in
-  !stats.Stats.total_seconds <- wall;
-  (match warm_input with
-  | Some _ ->
-      !stats.Stats.goodtrace_captures <- 1;
-      !stats.Stats.plan_batches <- nbatches;
-      !stats.Stats.plan_snapshots <-
-        (match plan.Schedule.sp_trace with
-        | Some t -> Array.length t.Sim.Goodtrace.snapshots
-        | None -> 0)
-  | None -> ());
-  !stats.Stats.cone_pruned <- npruned;
-  let result =
-    Fault.make_result ~detected ~detection_cycle ~stats:!stats
-      ~wall_time:wall ()
-  in
+  let stats = !stats in
+  stats.Stats.total_seconds <- wall;
+  let plan = r.plan in
+  Option.iter
+    (fun t ->
+      stats.Stats.goodtrace_captures <- 1;
+      stats.Stats.plan_batches <- Array.length r.ids;
+      stats.Stats.plan_snapshots <- Array.length t.Sim.Goodtrace.snapshots)
+    plan.Schedule.sp_trace;
+  stats.Stats.cone_pruned <- Array.length plan.Schedule.sp_pruned;
   {
-    result;
-    batches_total = nbatches;
-    batches_resumed = List.length resumed;
-    batches_executed = !executed;
-    retries = replay.rp_retries + Atomic.get retries;
-    restarts = replay.rp_restarts + Atomic.get restarts;
+    result =
+      Fault.make_result ~detected ~detection_cycle ~stats ~wall_time:wall ();
+    batches_total = Array.length r.ids;
+    batches_resumed = List.length replay.rp_outcomes;
+    batches_executed = r.executed;
+    retries = replay.rp_retries + Atomic.get r.retries;
+    restarts = replay.rp_restarts + Atomic.get r.restarts;
     oracle_checked = !oracle_checked;
     divergences = !divergences;
     quarantined = List.map (fun d -> d.div_fault) !divergences;
     failed_faults = List.rev !failed_faults;
     pruned_faults = Array.to_list plan.Schedule.sp_pruned;
-    repros = !repro_files;
+    repros = !repros;
     capture_bytes =
       (match plan.Schedule.sp_trace with
       | Some t -> t.Sim.Goodtrace.capture_bytes
       | None -> 0);
   }
+
+let run ?(config = default_config) g w faults =
+  let t0 = Stats.now () in
+  validate config w;
+  let config, journal_in = open_journal config in
+  let r = plan config g w faults in
+  let replay =
+    Option.fold ~none:empty_replay ~some:(replay_journal r) journal_in
+  in
+  start_output r replay;
+  Fun.protect
+    ~finally:(fun () -> Option.iter close_out_noerr r.jout)
+    (fun () -> execute r);
+  merge r ~t0 replay

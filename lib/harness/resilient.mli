@@ -41,9 +41,11 @@
       than aborting the campaign. Every retry, restart and quarantine is
       journaled as a typed [{"type":"retry",...}] record just before its
       batch record, so a resumed summary counts the whole campaign.
-      Recovery happens in batch-index order on the coordinator, so the
-      final report is deterministic given the failure schedule — and
-      byte-identical to a [jobs = 1] run when nothing fails.
+      Recovery happens in batch-index order on the coordinator, by the
+      same loop at every [jobs], so the final report and the journaled
+      retry records are deterministic given the failure schedule — and
+      the report is byte-identical to a [jobs = 1] run when nothing
+      fails.
     - {b Divergence shrinking} ([repro_dir = Some dir]): each quarantined
       divergence is delta-debugged ({!Shrink}) to a minimal co-batched
       fault set and cycle window, and a standalone [repro-<fault>.json]
@@ -92,16 +94,21 @@ val exit_code : campaign_error -> int
 type config = {
   engine : Campaign.engine;
   jobs : int;
-      (** worker domains, >= 1. With [jobs > 1] batches are dispatched to a
-          {!Pool} of domains, each owning an independent engine instance;
-          the coordinator journals and merges outcomes in batch-index
-          order, so the final report is byte-identical for any [jobs] (and
-          a journal written at one [jobs] resumes at another). *)
+      (** worker domains, from 1 to the runtime's domain limit minus the
+          calling domain (127 on 64-bit). Every [jobs] value runs the same
+          dispatch-and-supervise loop; only where a batch task runs
+          differs: at [jobs = 1] inline on the calling domain, above that
+          on a {!Pool} of [jobs] domains, each owning an independent engine
+          instance. The coordinator journals and merges outcomes in
+          batch-index order, so the final report is byte-identical for any
+          [jobs] (and a journal written at one [jobs] resumes at
+          another). *)
   batch_size : int;  (** faults per batch, >= 1 *)
   max_batch_seconds : float option;  (** per-batch wall-clock budget, >= 0 *)
   max_batch_cycles : int option;  (** per-batch cycle budget, >= 0 *)
   max_retries : int;  (** split generations after a watchdog trip, >= 0 *)
-  oracle_sample : float;  (** per-batch oracle re-check probability, 0..1 *)
+  oracle_sample : float;
+      (** per-batch oracle re-check probability, 0..1 (NaN is rejected) *)
   sample_seed : int64;
   journal : string option;  (** JSONL checkpoint path *)
   resume : bool;  (** replay an existing journal instead of truncating it *)

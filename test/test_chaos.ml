@@ -35,7 +35,8 @@ let supervised_config ~jobs ~journal =
 
 (* Run one campaign under an installed chaos plan, resuming from the
    journal whenever the torn-journal injection kills it. Returns the final
-   summary plus the per-kind injection counts observed before uninstall. *)
+   summary, the per-kind injection counts observed before uninstall, and
+   the journal's retry records in journal order. *)
 let run_under_chaos plan ~jobs g w faults =
   let journal = Filename.temp_file "eraser_test_chaos" ".jsonl" in
   Fun.protect
@@ -52,7 +53,14 @@ let run_under_chaos plan ~jobs g w faults =
         with C.Killed _ when n < 4 -> attempt (n + 1) true
       in
       let s = attempt 0 false in
-      (s, C.counts ()))
+      let retries =
+        List.filter
+          (fun l ->
+            H.Jsonl.member "type" (H.Jsonl.parse l)
+            = Some (H.Jsonl.String "retry"))
+          (H.Jsonl.read_journal journal).H.Jsonl.complete
+      in
+      (s, C.counts (), retries))
 
 (* ---- plan determinism ---- *)
 
@@ -95,7 +103,7 @@ let test_kind_converges kind jobs () =
     verdicts_report ~design ~faults clean.R.result
   in
   let plan = { C.seed = 11L; kinds = [ kind ]; rate = 1.0 } in
-  let s, counts = run_under_chaos plan ~jobs g w faults in
+  let s, counts, _ = run_under_chaos plan ~jobs g w faults in
   check bool_t "the injection actually fired" true
     (match List.assoc_opt kind counts with Some n -> n > 0 | None -> false);
   (match kind with
@@ -124,12 +132,30 @@ let test_all_kinds_converge () =
   List.iter
     (fun seed ->
       let plan = { C.default_plan with C.seed; rate = 0.6 } in
-      let s, _counts = run_under_chaos plan ~jobs:2 g w faults in
+      let s, _, _ = run_under_chaos plan ~jobs:2 g w faults in
       check Alcotest.string
         (Printf.sprintf "seed %Ld converges" seed)
         clean_report
         (verdicts_report ~design ~faults s.R.result))
     [ 5L; 6L ]
+
+(* ---- supervision is the same code at every jobs ---- *)
+
+let test_retry_records_across_jobs () =
+  (* Restarts and quarantines are decided on the coordinator in batch-index
+     order, so the journaled retry records do not depend on where the
+     batch tasks ran. *)
+  let _, g, w, faults = campaign () in
+  let plan =
+    { C.seed = 11L; kinds = [ C.Raise_in_batch; C.Corrupt_diffstore ];
+      rate = 0.5 }
+  in
+  let _, _, serial = run_under_chaos plan ~jobs:1 g w faults in
+  let _, _, pooled = run_under_chaos plan ~jobs:2 g w faults in
+  check bool_t "crashes were journaled" true (serial <> []);
+  check
+    (Alcotest.list Alcotest.string)
+    "jobs 1 and 2 journal the same retry records" serial pooled
 
 (* ---- retry records resume ---- *)
 
@@ -236,8 +262,7 @@ let test_disabled_seams_no_alloc () =
     C.batch_start ~batch:i;
     ignore (C.stall ~batch:i);
     ignore (C.torn_write ~batch:i "x");
-    ignore (Atomic.get Engine.Concurrent.chaos_corrupt_diff);
-    ignore (Atomic.get H.Pool.chaos_hook)
+    ignore (Atomic.get Engine.Concurrent.chaos_corrupt_diff)
   done;
   let after = Gc.minor_words () in
   check (Alcotest.float 0.0) "no minor allocation when uninstalled" 0.0
@@ -265,4 +290,6 @@ let suite =
       test_shrinker_writes_repro;
     Alcotest.test_case "disabled seams allocate nothing" `Quick
       test_disabled_seams_no_alloc;
+    Alcotest.test_case "retry records equal across jobs" `Quick
+      test_retry_records_across_jobs;
   ]

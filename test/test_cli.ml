@@ -89,4 +89,9 @@ let suite =
     repro_case "without engine_detected" (drop "engine_detected") 6;
     repro_case "with scale 0" (set "circuit" {|{"name":"alu","scale":0}|}) 6;
     repro_case "with scale -1" (set "circuit" {|{"name":"alu","scale":-1}|}) 6;
+    (* a NaN sampling rate is a bad workload, not a journal its own resume
+       rejects *)
+    case
+      [ "campaign"; "-c"; "alu"; "--scale"; "0.05"; "--oracle-sample"; "nan" ]
+      6;
   ]

@@ -295,6 +295,50 @@ let test_engine_convergence_counters () =
     (r.Faultsim.Fault.detection_cycle.(0) + 1)
     stepped
 
+(* The runner's once-per-run phases each record one span: a warm
+   campaign at jobs 2, resumed from a journal cut after its first batch
+   records, captures, plans, replays the journal and merges exactly once. *)
+let test_runner_phase_spans () =
+  fresh ();
+  let module R = Harness.Resilient in
+  let _, g, w, faults =
+    Circuits.Bench_circuit.instantiate (Circuits.find "alu") ~scale:0.05
+  in
+  let journal = Filename.temp_file "eraser_test_obs" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.disable ();
+      try Sys.remove journal with Sys_error _ -> ())
+    (fun () ->
+      let config =
+        {
+          R.default_config with
+          R.jobs = 2;
+          batch_size = 6;
+          warmstart = true;
+          journal = Some journal;
+        }
+      in
+      ignore (R.run ~config g w faults);
+      let lines = (J.read_journal journal).J.complete in
+      let oc = open_out_bin journal in
+      List.iteri
+        (fun i l ->
+          if 2 * i < List.length lines then output_string oc (l ^ "\n"))
+        lines;
+      close_out oc;
+      Obs.Trace.enable ~capacity:1024 ();
+      let s = R.run ~config:{ config with R.resume = true } g w faults in
+      Obs.Trace.disable ();
+      check bool_t "the cut journal resumed some batches" true
+        (s.R.batches_resumed > 0 && s.R.batches_executed > 0);
+      let names = List.map (J.get_string "name") (parse_trace ()) in
+      List.iter
+        (fun span ->
+          check int_t (span ^ " recorded once") 1
+            (List.length (List.filter (String.equal span) names)))
+        [ "capture"; "plan"; "journal_replay"; "merge" ])
+
 let suite =
   [
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
@@ -312,4 +356,6 @@ let suite =
       test_heartbeat_shape_unchanged;
     Alcotest.test_case "engine convergence counters" `Quick
       test_engine_convergence_counters;
+    Alcotest.test_case "runner phases record one span each" `Quick
+      test_runner_phase_spans;
   ]

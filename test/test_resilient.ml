@@ -646,6 +646,10 @@ let test_runner_limits_validated () =
       ("progress -1", { d with R.progress = Some (-1.0) }, true);
       ("progress nan", { d with R.progress = Some nan }, true);
       ("progress 0", { d with R.progress = Some 0.0 }, false);
+      ("oracle_sample nan", { d with R.oracle_sample = nan }, true);
+      (* past the runtime's domain limit: rejected before any domain
+         starts *)
+      ("jobs 128", { d with R.jobs = 128 }, true);
     ]
 
 let test_unknown_drive_target_rejected () =
