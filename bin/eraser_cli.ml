@@ -78,6 +78,24 @@ let bad_workload msg =
 let non_negative flag n =
   if n < 0 then bad_workload (Printf.sprintf "%s must be >= 0, got %d" flag n)
 
+(* An output file the user named must be writable before any work starts,
+   not after the campaign: its directory must exist and be writable, and
+   the path itself must not be a directory. *)
+let check_output = function
+  | None -> ()
+  | Some path -> (
+      let dir = Filename.dirname path in
+      let fail why =
+        bad_workload (Printf.sprintf "cannot write %s: %s" path why)
+      in
+      if Sys.file_exists path && Sys.is_directory path then
+        fail "it is a directory"
+      else if not (Sys.file_exists dir && Sys.is_directory dir) then
+        fail (dir ^ " is not a directory")
+      else
+        try Unix.access dir [ Unix.W_OK ]
+        with Unix.Unix_error _ -> fail (dir ^ " is not writable"))
+
 (* NaN, infinities and non-positive scales would silently run the
    minimum-size workload (or overflow the scaled counts), so they are
    usage errors like any other malformed argument. *)
@@ -248,7 +266,8 @@ let run_cmd =
   let run (c : Circuits.Bench_circuit.t) engine scale instrument verify json
       trace metrics =
    guard @@ fun () ->
-   with_obs ~trace ~metrics @@ fun () ->
+    List.iter check_output [ json; trace; metrics ];
+    with_obs ~trace ~metrics @@ fun () ->
     let design, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
     Format.printf "%s on %s: %d cycles, %d faults@."
       (H.Campaign.engine_name engine) c.name w.Workload.cycles
@@ -448,7 +467,8 @@ let campaign_cmd =
       inject json jobs warmstart verdicts_out trace metrics progress supervise
       repro_dir =
    guard @@ fun () ->
-   with_obs ~trace ~metrics @@ fun () ->
+    List.iter check_output [ json; verdicts_out; trace; metrics ];
+    with_obs ~trace ~metrics @@ fun () ->
     let design, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
     let config =
       {
@@ -1011,38 +1031,41 @@ let run_verilog_cmd =
     non_negative "--cycles" cycles;
     non_negative "--max-faults" max_faults;
     let src = In_channel.with_open_text file In_channel.input_all in
-    match Verilog_parser.parse src with
-    | exception Verilog_parser.Parse_error msg ->
-        Format.eprintf "parse error: %s@." msg;
-        1
-    | design -> (
-        match Design.find_signal design clock with
-        | exception Not_found ->
-            Format.eprintf "no input named %S (use --clock)@." clock;
-            1
-        | _ ->
-            let g = Elaborate.build design in
-            let w =
-              Circuits.Bench_circuit.random_workload
-                ~seed:(Int64.of_int seed) design ~cycles
-            in
-            let w =
-              { w with Workload.clock = Design.find_signal design clock }
-            in
-            let faults =
-              Fault.generate ~max_faults ~seed:(Int64.of_int seed) design
-            in
-            Format.printf "%s: %d signals, %d faults, %d cycles@."
-              design.Design.dname
-              (Design.num_signals design)
-              (Array.length faults) cycles;
-            let r = H.Campaign.run H.Campaign.Eraser g w faults in
-            Format.printf "  coverage   %.2f%% (%d/%d)@." r.Fault.coverage_pct
-              (Fault.count_detected r) (Array.length faults);
-            Format.printf "  wall time  %.3f s@." r.Fault.wall_time;
-            Format.printf "  mean detection latency %.1f cycles@."
-              (Fault.mean_detection_latency r);
-            0)
+    (* The Verilog text is untrusted: a parse error, a design the
+       elaborator rejects and a clock that is not an input are all bad
+       workloads. *)
+    let design, g =
+      try
+        let design = Verilog_parser.parse src in
+        (design, Elaborate.build design)
+      with
+      | Verilog_parser.Parse_error msg -> bad_workload ("parse error: " ^ msg)
+      | Design.Invalid msg | Elaborate.Comb_cycle msg | Expr.Type_error msg ->
+          bad_workload ("invalid design: " ^ msg)
+    in
+    (match Design.find_signal design clock with
+    | exception Not_found ->
+        bad_workload (Printf.sprintf "no input named %S (use --clock)" clock)
+    | id when design.Design.signals.(id).Design.kind <> Design.Input ->
+        bad_workload (Printf.sprintf "%S is not an input (use --clock)" clock)
+    | _ -> ());
+    let w =
+      Circuits.Bench_circuit.random_workload ~clock ~seed:(Int64.of_int seed)
+        design ~cycles
+    in
+    let faults =
+      Fault.generate ~max_faults ~seed:(Int64.of_int seed) design
+    in
+    Format.printf "%s: %d signals, %d faults, %d cycles@." design.Design.dname
+      (Design.num_signals design)
+      (Array.length faults) cycles;
+    let r = H.Campaign.run H.Campaign.Eraser g w faults in
+    Format.printf "  coverage   %.2f%% (%d/%d)@." r.Fault.coverage_pct
+      (Fault.count_detected r) (Array.length faults);
+    Format.printf "  wall time  %.3f s@." r.Fault.wall_time;
+    Format.printf "  mean detection latency %.1f cycles@."
+      (Fault.mean_detection_latency r);
+    0
   in
   Cmd.v
     (Cmd.info "run-verilog"

@@ -24,8 +24,8 @@ let scaled what base ~scale =
 let cycles_of c ~scale = max 50 (scaled "cycle" c.paper_cycles ~scale)
 let faults_of c ~scale = max 20 (scaled "fault" c.paper_faults ~scale)
 
-let random_workload ?(directed = [||]) ~seed design ~cycles =
-  let clock = Design.find_signal design "clk" in
+let random_workload ?(directed = [||]) ?(clock = "clk") ~seed design ~cycles =
+  let clock = Design.find_signal design clock in
   let inputs =
     List.filter_map
       (fun id ->

@@ -30,9 +30,11 @@ val instantiate :
   t -> scale:float -> Design.t * Elaborate.t * Workload.t * Fault.t array
 
 (** Workload from seeded random vectors over all non-clock inputs, with an
-    optional directed prefix. The clock input must be named "clk". *)
+    optional directed prefix. [clock] names the clock input (default
+    "clk"); raises [Not_found] when the design has no such signal. *)
 val random_workload :
   ?directed:(int * Bits.t) list array ->
+  ?clock:string ->
   seed:int64 ->
   Design.t ->
   cycles:int ->

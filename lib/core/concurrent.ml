@@ -33,15 +33,24 @@ let chaos_corrupt_diff :
    targets, covered on every path, or an ff process's nonblocking ones. *)
 type proc_node = { pos : int; pid : int; cp : Compile.ti; writes : int array }
 
-type assign_node = { apos : int; target : int; eval : Compile.compiled_expr_i }
+(* A continuous assign as the engine runs it: its comb position, target,
+   compiled program, and where a run records its good path (the reads the
+   good evaluation executed) in the run's path buffer. *)
+type assign_node = {
+  apos : int;
+  target : int;
+  prog : Assign_kernel.t;
+  path_off : int;
+}
 
 type node = Kassign of assign_node | Kcomb of proc_node | Kff of proc_node
 
-(* An instance is the immutable compiled form of one elaborated design:
-   every behavioral body and every continuous-assign expression, compiled
-   once (in the payload-compiled form: widths resolved at compile time,
-   values flow as masked int64 payloads), plus every table that depends
-   only on the design. All per-campaign mutable state lives inside each
+(* An instance is the compiled form of one elaborated design: every
+   behavioral body and every continuous-assign expression, compiled once
+   (widths resolved at compile time, values flow as masked int64
+   payloads), plus every table that depends only on the design. Its only
+   mutable parts are the assign programs' registers, scratch space that no
+   result outlives. All per-campaign mutable state lives inside each
    {!run}, so a single instance can be reused across any number of
    sequential runs — the parallel harness gives each worker domain its own
    instance and reuses it for every batch that worker executes. Instances
@@ -58,6 +67,7 @@ type instance = {
          arrays. *)
   mem_writer : bool array;  (* by process id: writes some memory *)
   is_state : bool array;  (* by signal id: an ff process's nonblocking target *)
+  path_size : int;  (* every assign's read instructions, summed *)
 }
 
 let instance (g : Elaborate.t) =
@@ -76,18 +86,19 @@ let instance (g : Elaborate.t) =
         })
       d.procs
   in
+  let path_size = ref 0 in
   let comb_nodes =
     Array.mapi
       (fun pos node ->
         match node with
         | Elaborate.Cassign i ->
             let a = d.assigns.(i) in
-            Kassign
-              {
-                apos = pos;
-                target = a.target;
-                eval = Compile.expr_i ~sig_width ~mem_width ~mem_size a.expr;
-              }
+            let prog =
+              Assign_kernel.compile ~sig_width ~mem_width ~mem_size a.expr
+            in
+            let path_off = !path_size in
+            path_size := path_off + prog.Assign_kernel.nreads;
+            Kassign { apos = pos; target = a.target; prog; path_off }
         | Elaborate.Cproc pid ->
             let p = { (procs.(pid)) with pos; writes = g.comb_writes.(pos) } in
             procs.(pid) <- p;
@@ -116,6 +127,7 @@ let instance (g : Elaborate.t) =
     decision_ids;
     mem_writer = Array.map (fun ms -> Array.length ms > 0) g.proc_write_mems;
     is_state;
+    path_size = !path_size;
   }
 
 let edge_fired edge ~old_b ~new_b =
@@ -179,6 +191,7 @@ type run = {
   mutable current_pos : int;
       (* node being evaluated right now: no self-triggering on own writes *)
   (* ---- readers / writers ---- *)
+  kview : Assign_kernel.view;  (* what the assign programs read *)
   good_reader : Access.ireader;
   fault_reader : Access.ireader;
   good_writer : Access.iwriter;
@@ -198,6 +211,17 @@ type run = {
          replaying history, so a comb proc can become fault-dirty before
          its first replayed good event: until then its record is unset and
          the implicit-redundancy walk must not consult it. *)
+  (* ---- assign good paths ---- *)
+  path : int array;
+  path_len : int array;
+      (* By comb position: how many reads of [path] (from the assign's
+         [path_off]) the good evaluation executed, or -1. A path is valid
+         from this run's last good evaluation of the position until the
+         position next becomes good-dirty: until then every value it read
+         is unchanged. Replay ([Grep]) sets no path; [assign_faults]
+         evaluates one from the replayed good state when it needs it. *)
+  sig_seen : int array;
+      (* by signal: the fault-set generation that last scanned it *)
   (* ---- per-node fault set collection ---- *)
   stamp : int array;
   mutable gen : int;
@@ -267,34 +291,44 @@ let mark_fanout r fo ~good =
 
 (* ---- diff store ----
    Payload equality is full equality: every stored payload is masked to
-   its signal's width, and a slot's good value shares that width. *)
+   its signal's width, and a slot's good value shares that width. The hot
+   reads below load the good state's and the diff tables' Bigarrays
+   directly: a call into [State] or [Faultmap] would box its int64 result
+   (dev builds compile every module [-opaque]). *)
+let[@inline] good_value r id = Bigarray.Array1.unsafe_get r.st.State.sig_v id
+
+let[@inline] diff_slot tbl f =
+  if tbl.Faultmap.count = 0 then -1
+  else Int32.to_int (Bigarray.Array1.unsafe_get tbl.Faultmap.pos f)
+
 let set_diff r id f v =
   let tbl = r.diffs.(id) in
-  let good = State.get r.st id in
+  let good = good_value r id in
+  let slot = diff_slot tbl f in
   if v = good then begin
-    if Faultmap.mem tbl f then begin
+    if slot >= 0 then begin
       Faultmap.remove tbl f;
       r.ndiff.(f) <- r.ndiff.(f) - 1;
       mark_fanout r r.g.fanout_comb.(id) ~good:false
     end
   end
-  else begin
-    (* a live fault's stored diff never equals the good value, so
-       finding the default means the entry is absent *)
-    let cur = Faultmap.find tbl f ~default:good in
-    if cur <> v then begin
-      if cur = good then r.ndiff.(f) <- r.ndiff.(f) + 1;
-      Faultmap.set tbl f v;
-      mark_fanout r r.g.fanout_comb.(id) ~good:false
-    end
+  else if
+    slot < 0 || Bigarray.Array1.unsafe_get tbl.Faultmap.vals slot <> v
+  then begin
+    if slot < 0 then r.ndiff.(f) <- r.ndiff.(f) + 1;
+    Faultmap.set tbl f v;
+    mark_fanout r r.g.fanout_comb.(id) ~good:false
   end
 
 let fault_value r f id =
-  Faultmap.find r.diffs.(id) f ~default:(State.get r.st id)
+  let tbl = r.diffs.(id) in
+  let slot = diff_slot tbl f in
+  if slot >= 0 then Bigarray.Array1.unsafe_get tbl.Faultmap.vals slot
+  else good_value r id
 
 (* A stored diff always differs from the good value ([set_diff] and
    [write_good] drop equal entries), so visibility is membership. *)
-let visible r f id = Faultmap.mem r.diffs.(id) f
+let visible r f id = diff_slot r.diffs.(id) f >= 0
 
 let force_if_site r f id v =
   let fa = r.faults.(f) in
@@ -302,9 +336,14 @@ let force_if_site r f id v =
 
 let mem_key r m f a = (f * State.mem_size r.st m) + a
 
+(* Only a fault in the memory's index can hold a diverging word. *)
 let fault_mem_value r f m a =
-  Diffstore.find r.mem_diffs.(m) (mem_key r m f a)
-    ~default:(State.get_mem r.st m a)
+  let good =
+    Bigarray.Array1.unsafe_get r.st.State.mem_v (r.st.State.mem_base.(m) + a)
+  in
+  if Diffstore.Counts.mem r.mem_fault_words.(m) f then
+    Diffstore.find r.mem_diffs.(m) (mem_key r m f a) ~default:good
+  else good
 
 let mem_words_bump r m f delta =
   r.ndiff.(f) <- r.ndiff.(f) + delta;
@@ -336,28 +375,34 @@ let set_mem_diff r m f a v =
 
 (* ---- good writes (with fault-site injection and stale-diff sweep) ---- *)
 let remove_dead r tbl =
-  Ivec.iter
-    (fun f ->
-      Faultmap.remove tbl f;
-      r.ndiff.(f) <- r.ndiff.(f) - 1)
-    r.scratch_dead
+  for i = 0 to Ivec.length r.scratch_dead - 1 do
+    let f = Ivec.get r.scratch_dead i in
+    Faultmap.remove tbl f;
+    r.ndiff.(f) <- r.ndiff.(f) - 1
+  done
 
 let write_good r id v =
-  if State.get r.st id <> v then begin
-    State.set r.st id v;
+  if good_value r id <> v then begin
+    Bigarray.Array1.unsafe_set r.st.State.sig_v id v;
     let tbl = r.diffs.(id) in
-    if not (Faultmap.is_empty tbl) then begin
+    if tbl.Faultmap.count > 0 then begin
       Ivec.clear r.scratch_dead;
-      Faultmap.iter tbl (fun f fv ->
-          if (not r.live.(f)) || fv = v then Ivec.push r.scratch_dead f);
+      for i = 0 to tbl.Faultmap.count - 1 do
+        let f = tbl.Faultmap.keys.(i) in
+        if
+          (not r.live.(f))
+          || Bigarray.Array1.unsafe_get tbl.Faultmap.vals i = v
+        then Ivec.push r.scratch_dead f
+      done;
       remove_dead r tbl
     end;
     mark_fanout r r.g.fanout_comb.(id) ~good:true
   end;
-  List.iter
-    (fun f ->
-      if r.live.(f) then set_diff r id f (Fault.force_i64 r.faults.(f) v))
-    r.site_faults.(id)
+  if r.site_faults.(id) <> [] then
+    List.iter
+      (fun f ->
+        if r.live.(f) then set_diff r id f (Fault.force_i64 r.faults.(f) v))
+      r.site_faults.(id)
 
 let write_good_mem r m a v =
   if State.get_mem r.st m a <> v then begin
@@ -393,10 +438,13 @@ let add_read_fault r f =
 
 let scan_sig_faults r add id =
   let tbl = r.diffs.(id) in
-  if not (Faultmap.is_empty tbl) then begin
+  if tbl.Faultmap.count > 0 then begin
     Ivec.clear r.scratch_dead;
-    Faultmap.iter_keys tbl (fun f ->
-        if r.live.(f) then add r f else Ivec.push r.scratch_dead f);
+    let keys = tbl.Faultmap.keys in
+    for i = 0 to tbl.Faultmap.count - 1 do
+      let f = keys.(i) in
+      if r.live.(f) then add r f else Ivec.push r.scratch_dead f
+    done;
     remove_dead r tbl
   end
 
@@ -483,16 +531,23 @@ let bn_end r =
       r.stats.Stats.bn_seconds +. (Stats.now () -. r.bn_clock);
   if r.tracing then Obs.Trace.span_end "bn_eval" r.bn_trace
 
+(* Evaluates the assign on the good state, recording its path. *)
+let eval_good_path r a =
+  r.path_len.(a.apos) <-
+    Assign_kernel.eval_good a.prog r.kview ~path:r.path ~off:a.path_off
+
 (* ---- phase 1: good step ----
    The good network's result at one node: [Gcold] and [Gcap] evaluate it
    ([Gcap] also records it), [Grep] applies the recorded one. *)
 let good_step r node =
   match (node, r.gx) with
   | Kassign a, Grep (_, cur) ->
+      r.path_len.(a.apos) <- -1;
       write_good r a.target (Goodtrace.take_assign cur ~pos:a.apos)
   | Kassign a, (Gcold | Gcap _) ->
       r.stats.Stats.rtl_good_eval <- r.stats.Stats.rtl_good_eval + 1;
-      let v = a.eval r.good_reader in
+      eval_good_path r a;
+      let v = Bigarray.Array1.unsafe_get a.prog.regs a.prog.out in
       (match r.gx with
       | Gcap b -> Goodtrace.rec_assign b ~pos:a.apos ~target:a.target v
       | Gcold | Grep _ -> ());
@@ -533,18 +588,56 @@ let good_step r node =
 (* ---- phase 2: comb settle ----
    One ordered sweep over the dirty comb positions: each node's good result,
    then the copies of the faults that may see it differently. *)
+let rec any_sig_diff r ids i =
+  i < Array.length ids
+  && ((not (Faultmap.is_empty r.diffs.(ids.(i)))) || any_sig_diff r ids (i + 1))
+
+let rec any_mem_diff r ms i =
+  i < Array.length ms
+  && (Diffstore.Counts.length r.mem_fault_words.(ms.(i)) > 0
+     || any_mem_diff r ms (i + 1))
+
+(* The faults with a diff on a read of the assign's good path. *)
+let scan_path r a =
+  for i = a.path_off to a.path_off + r.path_len.(a.apos) - 1 do
+    let e = r.path.(i) in
+    if e < 0 then scan_mem_faults r add_fault (lnot e)
+    else if r.sig_seen.(e) <> r.gen then begin
+      r.sig_seen.(e) <- r.gen;
+      scan_sig_faults r add_fault e
+    end
+  done
+
+(* Algorithm 1 for RTL nodes ([Full] only): a fault whose diffs sit off the
+   good path (on untaken mux arms, say) reads the good values on it, so it
+   takes the same path to the good value, and it is not evaluated. A fault
+   with a diff on the target is still evaluated, to reconcile that diff.
+   Without a valid path, one is evaluated only when some read diverges. *)
 let assign_faults r a =
   begin_set r;
-  scan_all scan_sig_faults r add_fault r.g.comb_reads.(a.apos);
-  scan_all scan_mem_faults r add_fault r.g.comb_read_mems.(a.apos);
+  (match r.config.mode with
+  | Full ->
+      if
+        r.path_len.(a.apos) < 0
+        && (any_sig_diff r r.g.comb_reads.(a.apos) 0
+           || any_mem_diff r r.g.comb_read_mems.(a.apos) 0)
+      then eval_good_path r a;
+      scan_path r a
+  | Explicit_only | No_redundancy ->
+      scan_all scan_sig_faults r add_fault r.g.comb_reads.(a.apos);
+      scan_all scan_mem_faults r add_fault r.g.comb_read_mems.(a.apos));
   scan_sig_faults r add_fault a.target;
-  Ivec.iter
-    (fun f ->
-      r.cur_fault <- f;
-      r.stats.Stats.rtl_fault_eval <- r.stats.Stats.rtl_fault_eval + 1;
-      set_diff r a.target f
-        (force_if_site r f a.target (a.eval r.fault_reader)))
-    r.fset
+  r.stats.Stats.rtl_fault_eval <-
+    r.stats.Stats.rtl_fault_eval + Ivec.length r.fset;
+  for i = 0 to Ivec.length r.fset - 1 do
+    let f = Ivec.get r.fset i in
+    let changed = Assign_kernel.eval_fault a.prog r.kview f ~target:a.target in
+    let v = Bigarray.Array1.unsafe_get a.prog.regs a.prog.out in
+    let fa = r.faults.(f) in
+    if fa.Fault.signal = a.target then
+      set_diff r a.target f (Fault.force_i64 fa v)
+    else if changed then set_diff r a.target f v
+  done
 
 let comb_proc_fault r p f =
   r.cur_fault <- f;
@@ -930,6 +1023,13 @@ let create ~config ?probe ?capture ?goodtrace (inst : instance)
     faults;
   let ncomb = Array.length g.comb_nodes in
   let nclk = Array.length g.clocks in
+  let diffs = Array.init nsig (fun _ -> Faultmap.create ~nkeys:nfaults) in
+  let mem_diffs =
+    Array.init nmem (fun _ -> Diffstore.create ~expect:expect_site ())
+  in
+  let mem_fault_words =
+    Array.init nmem (fun _ -> Diffstore.Counts.create ~expect:nfaults ())
+  in
   let rec r =
     {
       inst;
@@ -952,11 +1052,9 @@ let create ~config ?probe ?capture ?goodtrace (inst : instance)
       detection_cycle = Array.make nfaults (-1);
       n_live = nfaults;
       ndiff = Array.make nfaults 0;
-      diffs = Array.init nsig (fun _ -> Faultmap.create ~nkeys:nfaults);
-      mem_diffs =
-        Array.init nmem (fun _ -> Diffstore.create ~expect:expect_site ());
-      mem_fault_words =
-        Array.init nmem (fun _ -> Diffstore.Counts.create ~expect:nfaults ());
+      diffs;
+      mem_diffs;
+      mem_fault_words;
       site_faults;
       transients_at;
       scratch_dead = Ivec.create ~capacity:16 ();
@@ -965,6 +1063,7 @@ let create ~config ?probe ?capture ?goodtrace (inst : instance)
       dirty_hi = -1;
       dirty_lo = ncomb;
       current_pos = -1;
+      kview = { Assign_kernel.st; diffs; mem_diffs; mem_fault_words };
       good_reader = Access.reader_of_state st;
       fault_reader =
         {
@@ -1019,6 +1118,9 @@ let create ~config ?probe ?capture ?goodtrace (inst : instance)
           (fun p -> Array.make (Array.length p.cp.Compile.icfg.nodes) 0)
           inst.procs;
       record_valid = Array.make nproc false;
+      path = Array.make inst.path_size 0;
+      path_len = Array.make ncomb (-1);
+      sig_seen = Array.make nsig 0;
       stamp = Array.make nfaults 0;
       gen = 0;
       fset = Ivec.create ();

@@ -52,16 +52,15 @@ let create ~expect () =
     used = 0;
   }
 
-(* Slot holding [key], or -1 when absent. *)
-let find_slot t key =
-  let keys = t.keys and mask = t.mask in
-  let rec probe i =
-    let k = Array.unsafe_get keys i in
-    if k = key then i
-    else if k = empty_slot then -1
-    else probe ((i + 1) land mask)
-  in
-  probe (hash key land mask)
+(* Slot holding [key] in a probe sequence starting at [i], or -1 when
+   absent. Top-level, so a lookup allocates no closure. *)
+let rec probe_slot keys mask key i =
+  let k = Array.unsafe_get keys i in
+  if k = key then i
+  else if k = empty_slot then -1
+  else probe_slot keys mask key ((i + 1) land mask)
+
+let find_slot t key = probe_slot t.keys t.mask key (hash key land t.mask)
 
 let mem t key = find_slot t key >= 0
 
@@ -146,15 +145,7 @@ module Counts = struct
   let length t = t.count
   let capacity t = Array.length t.keys
 
-  let find_slot t key =
-    let keys = t.keys and mask = t.mask in
-    let rec probe i =
-      let k = Array.unsafe_get keys i in
-      if k = key then i
-      else if k = empty_slot then -1
-      else probe ((i + 1) land mask)
-    in
-    probe (hash key land mask)
+  let find_slot t key = probe_slot t.keys t.mask key (hash key land t.mask)
 
   let mem t key = find_slot t key >= 0
 

@@ -17,7 +17,20 @@
     so a table that never holds an entry costs a few words. The packed
     arrays grow with the live population, up to [nkeys] entries. *)
 
-type t
+type i32a = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+type i64a = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** Read-only outside this module, so that a hot loop can look a key up
+    with plain loads: no call, no boxed result (see {!Assign_kernel}). *)
+type t = private {
+  nkeys : int;
+  mutable pos : i32a;
+      (** by key: its slot in [keys]/[vals], or -1. Unallocated (length 0)
+          until the first [set]; [count > 0] implies it is allocated. *)
+  mutable keys : int array;  (** slots [\[0, count)] hold the live keys *)
+  mutable vals : i64a;  (** by slot *)
+  mutable count : int;
+}
 
 (** [create ~nkeys] — an empty table for keys in [\[0, nkeys)]. *)
 val create : nkeys:int -> t

@@ -76,6 +76,29 @@ let rec gen_expr rng pool mems depth target =
         coerce (Expr.Mem_read (m, sub (depth - 1) 4)) dw target
     | _ -> leaf ()
 
+(* Mux-heavy expression of width [target], the shape continuous assigns
+   take in flat Chisel-style RTL: muxes nested in arms, muxes under
+   operators, and memory reads inside arms, so a fault's diff often sits
+   on an arm the selector does not take. *)
+let rec gen_mux_expr rng pool mems depth target =
+  let sub () = gen_expr rng pool mems 1 target in
+  let arm () =
+    if depth <= 1 then sub ()
+    else
+      match Rng.int rng 4 with
+      | 0 -> gen_mux_expr rng pool mems (depth - 1) target
+      | 1 ->
+          let op = pick rng [| Expr.Add; Expr.And; Expr.Or; Expr.Xor |] in
+          let rhs = sub () in
+          let inner = gen_mux_expr rng pool mems (depth - 1) target in
+          Expr.Binop (op, inner, rhs)
+      | 2 when mems <> [||] ->
+          let m, dw = pick rng mems in
+          coerce (Expr.Mem_read (m, gen_expr rng pool mems 1 4)) dw target
+      | _ -> sub ()
+  in
+  Expr.Mux (gen_expr rng pool mems 1 (pick rng [| 1; 2 |]), arm (), arm ())
+
 (* Random body for an edge-triggered process owning [regs]; statements only
    write the owned registers (single-driver rule) and optionally a RAM. *)
 let rec gen_ff_stmt rng pool mems ram regs depth =
@@ -191,6 +214,14 @@ let generate ?(cycles = 150) ?(max_faults = 60) ~seed () =
     B.assign ctx wire (gen_expr rng !pool !mems 3 w);
     add_pool wire w
   done;
+  (* mux-heavy wires *)
+  let n_mux = 1 + Rng.int rng 3 in
+  for i = 0 to n_mux - 1 do
+    let w = pick rng widths in
+    let wire = B.wire ctx (Printf.sprintf "m%d" i) w in
+    B.assign ctx wire (gen_mux_expr rng !pool !mems 3 w);
+    add_pool wire w
+  done;
   (* combinational processes *)
   let n_comb = Rng.int rng 3 in
   for i = 0 to n_comb - 1 do
@@ -219,7 +250,25 @@ let generate ?(cycles = 150) ?(max_faults = 60) ~seed () =
     let ctrl =
       gen_comb_stmt rng pool_with_targets !mems target_ids (1 + Rng.int rng 2)
     in
-    B.always_comb ctx ~name:(Printf.sprintf "comb%d" i) (defaults @ [ ctrl ]);
+    (* Sometimes a target is read before any write: a scratch write of a
+       value that depends on the target's previous value, dead because the
+       defaults overwrite it, so the settled result stays a function of the
+       inputs. The walk must treat such a read as a read of the previous,
+       possibly faulty, value. *)
+    let scratch =
+      if Rng.bool rng then
+        let id, w = pick rng target_ids in
+        [
+          Stmt.Assign
+            ( id,
+              Expr.Binop
+                (Expr.Xor, Expr.Sig id, gen_expr rng !pool !mems 1 w) );
+        ]
+      else []
+    in
+    B.always_comb ctx
+      ~name:(Printf.sprintf "comb%d" i)
+      (scratch @ defaults @ [ ctrl ]);
     Array.iter (fun (t, w) -> add_pool t w) targets
   done;
   (* edge-triggered processes: partition the registers *)

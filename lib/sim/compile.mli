@@ -37,13 +37,6 @@ val exec : t -> Access.reader -> Access.writer -> unit
 
 type compiled_expr_i = Access.ireader -> int64
 
-val expr_i :
-  sig_width:(int -> int) ->
-  mem_width:(int -> int) ->
-  mem_size:(int -> int) ->
-  Expr.t ->
-  compiled_expr_i
-
 (** What the redundancy walk checks at one CFG node: the segment's or
     selector's signal reads, split by whether the body blocking-writes them
     anywhere, its memory-read sites (memory, size, compiled address and the

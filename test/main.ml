@@ -27,4 +27,5 @@ let () =
       ("schedule", Test_schedule.suite);
       ("cli", Test_cli.suite);
       ("ledger", Test_ledger.suite);
+      ("kernel", Test_kernel.suite);
     ]

@@ -179,10 +179,13 @@ let test_walk_soundness_random () =
     let get_mem m a = mems.(m).(a) in
     (* faulty view: flip one bit of one signal *)
     let rng = Faultsim.Rng.create (Int64.of_int seed) in
+    let flip fsig fbit =
+      let fvals = Array.copy vals in
+      fvals.(fsig) <- Int64.logxor vals.(fsig) (Int64.shift_left 1L fbit);
+      fvals
+    in
     let fsig = Faultsim.Rng.int rng (Design.num_signals d) in
-    let fbit = Faultsim.Rng.int rng (sig_width fsig) in
-    let fvals = Array.copy vals in
-    fvals.(fsig) <- Int64.logxor vals.(fsig) (Int64.shift_left 1L fbit);
+    let random_view = flip fsig (Faultsim.Rng.int rng (sig_width fsig)) in
     Array.iter
       (fun (p : Design.proc) ->
         let cp = Sim.Compile.proc_i ~sig_width ~mem_width ~mem_size p.body in
@@ -190,21 +193,29 @@ let test_walk_soundness_random () =
           Array.make (Array.length cp.Sim.Compile.icfg.Cfg.nodes) 0
         in
         let glog = exec_log ~record cp vals ~get_mem in
-        let redundant =
-          Sim.Compile.redundant cp ~choices:record
-            ~good:{ Sim.Access.iget = Array.get vals; iget_mem = get_mem }
-            ~fault:{ Sim.Access.iget = Array.get fvals; iget_mem = get_mem }
-            ~visible:(fun s -> vals.(s) <> fvals.(s))
-            ~visited:(ref 0)
+        let check_view fvals =
+          let redundant =
+            Sim.Compile.redundant cp ~choices:record
+              ~good:{ Sim.Access.iget = Array.get vals; iget_mem = get_mem }
+              ~fault:{ Sim.Access.iget = Array.get fvals; iget_mem = get_mem }
+              ~visible:(fun s -> vals.(s) <> fvals.(s))
+              ~visited:(ref 0)
+          in
+          if redundant then begin
+            incr checked;
+            if p.trigger = Design.Comb then incr checked_comb;
+            if glog <> exec_log cp fvals ~get_mem then
+              Alcotest.failf
+                "seed %d proc %s: walk said redundant but writes differ" seed
+                p.pname
+          end
         in
-        if redundant then begin
-          incr checked;
-          if p.trigger = Design.Comb then incr checked_comb;
-          if glog <> exec_log cp fvals ~get_mem then
-            Alcotest.failf
-              "seed %d proc %s: walk said redundant but writes differ" seed
-              p.pname
-        end)
+        check_view random_view;
+        (* a comb body may read a target's previous value before writing
+           it: fault each target too *)
+        List.iter
+          (fun t -> check_view (flip t 0))
+          (Stmt.blocking_writes p.body))
       d.Design.procs
   done;
   check bool_t "some redundant cases exercised" true (!checked > 20);

@@ -70,6 +70,53 @@ let set field x k v = Some (if k = field then x else v)
 let unusable name = Filename.concat eraser name
 
 let sample = "../examples/sample_designs/gray_counter.v"
+
+(* [verilog_case name text args expected]: [text] written to a temp file
+   and run through run-verilog with [args]. *)
+let verilog_case name text args expected =
+  Alcotest.test_case
+    (Printf.sprintf "run-verilog %s exits %d" name expected)
+    `Quick
+    (fun () ->
+      let file = Filename.temp_file "eraser_design" ".v" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          Out_channel.with_open_bin file (fun oc -> output_string oc text);
+          Alcotest.(check int) "exit code" expected
+            (exit_code ([ "run-verilog"; "-f"; file ] @ args))))
+
+(* A register clocked by an input that is not called clk. *)
+let ck_design =
+  "module t(ck, d, q);\n  input ck;\n  input d;\n  output q;\n  reg r;\n\
+  \  always @(posedge ck) r <= d;\n  assign q = r;\nendmodule\n"
+
+(* An output path that cannot be written fails with exit 6 before any
+   work: stdout carries no coverage line. *)
+let early_output_case args =
+  Alcotest.test_case
+    (Printf.sprintf "%s exits 6 before running" (String.concat " " args))
+    `Quick
+    (fun () ->
+      let out = Filename.temp_file "eraser_stdout" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove out)
+        (fun () ->
+          let code =
+            Sys.command
+              (Filename.quote_command eraser ~stdout:out
+                 ~stderr:Filename.null args)
+          in
+          Alcotest.(check int) "exit code" 6 code;
+          let text = In_channel.with_open_bin out In_channel.input_all in
+          let ran =
+            List.exists
+              (fun l ->
+                String.length l >= 10
+                && String.trim (String.sub l 0 10) = "coverage")
+              (String.split_on_char '\n' text)
+          in
+          Alcotest.(check bool) "no coverage line" false ran))
 let alu = [ "campaign"; "-c"; "alu"; "--scale"; "0.05" ]
 
 let suite =
@@ -119,4 +166,22 @@ let suite =
       6;
     case [ "vcd"; "-c"; "alu"; "-o"; unusable "x.vcd" ] 6;
     case [ "vcd"; "-c"; "alu"; "--cycles=-4"; "-o"; Filename.null ] 6;
+    (* untrusted Verilog text fails as a bad workload, and the clock must
+       name an input *)
+    verilog_case "with a parse error" "module m(; endmodule\n" [] 6;
+    case [ "run-verilog"; "-f"; sample; "--clock"; "nope" ] 6;
+    case [ "run-verilog"; "-f"; sample; "--clock"; "gray" ] 6;
+    (* every output path is checked before the campaign runs *)
+    early_output_case
+      [ "run"; "-c"; "alu"; "--scale"; "0.05"; "--trace"; unusable "t.json" ];
+    early_output_case
+      [ "run"; "-c"; "alu"; "--scale"; "0.05"; "--metrics"; unusable "m.json" ];
+    early_output_case
+      [ "run"; "-c"; "alu"; "--scale"; "0.05"; "--json"; unusable "r.json" ];
+    early_output_case (alu @ [ "--verdicts"; unusable "v.json" ]);
+    early_output_case (alu @ [ "--trace"; unusable "t.json" ]);
+    early_output_case (alu @ [ "--metrics"; Filename.dirname eraser ]);
+    (* --clock may name any input *)
+    verilog_case "with --clock ck" ck_design [ "--clock"; "ck"; "--cycles=20" ]
+      0;
   ]

@@ -432,7 +432,7 @@ let cold_pins =
           ] } );
     ( "sha256_c2v eraser",
       { bn_good = 6720; fault_exec = 28600; skip_explicit = 330336;
-        skip_implicit = 24; rtl_good = 11467; rtl_fault = 120134;
+        skip_implicit = 24; rtl_good = 11467; rtl_fault = 73045;
         cycles_skipped = 0;
         procs =
           [
