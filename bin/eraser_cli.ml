@@ -619,7 +619,10 @@ let chaos_cmd =
     Arg.(
       value & opt float 0.5
       & info [ "rate" ] ~docv:"P"
-          ~doc:"Per-(kind, batch) injection probability in [0, 1].")
+          ~doc:
+            "Per-(kind, batch) injection probability in [0, 1]. The \
+             corrupt kind does not draw per batch: at any rate above 0 it \
+             fires in every engine run, at rate 0 never.")
   in
   let kinds_arg =
     let kind_conv =
@@ -670,6 +673,8 @@ let chaos_cmd =
   let run (c : Circuits.Bench_circuit.t) scale seed rate kinds batch timeout
       journal jobs =
    guard @@ fun () ->
+    if not (rate >= 0.0 && rate <= 1.0) then
+      bad_workload (Printf.sprintf "--rate must be within [0, 1], got %g" rate);
     let design, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
     let engine = H.Campaign.Eraser in
     let base =
@@ -945,6 +950,7 @@ let faults_cmd =
   in
   let run (c : Circuits.Bench_circuit.t) scale n =
    guard @@ fun () ->
+    non_negative "-n" n;
     let d, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
     let verdicts = Classify.classify g faults in
     let r = H.Campaign.run H.Campaign.Eraser g w faults in

@@ -6,7 +6,7 @@
     signals and memories a segment reads. Dependency nodes with nothing to
     check are compressed away ("simplify the visibility dependency graph by
     removing empty nodes"). The runtime walk over it, with its soundness
-    refinement for blocking writes, is [Sim.Compile.redundant]. *)
+    refinement for blocking writes, is [Engine.Kernel.redundant]. *)
 
 type t = {
   cfg : Cfg.t;

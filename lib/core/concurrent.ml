@@ -31,7 +31,7 @@ let chaos_corrupt_diff :
 (* A behavioral process as the engine runs it: its comb position (-1 for an
    ff process) and the signals it writes — a comb process's blocking
    targets, covered on every path, or an ff process's nonblocking ones. *)
-type proc_node = { pos : int; pid : int; cp : Compile.ti; writes : int array }
+type proc_node = { pos : int; pid : int; cp : Kernel.body; writes : int array }
 
 (* A continuous assign as the engine runs it: its comb position, target,
    compiled program, and where a run records its good path (the reads the
@@ -39,7 +39,7 @@ type proc_node = { pos : int; pid : int; cp : Compile.ti; writes : int array }
 type assign_node = {
   apos : int;
   target : int;
-  prog : Assign_kernel.t;
+  prog : Kernel.t;
   path_off : int;
 }
 
@@ -47,15 +47,15 @@ type node = Kassign of assign_node | Kcomb of proc_node | Kff of proc_node
 
 (* An instance is the compiled form of one elaborated design: every
    behavioral body and every continuous-assign expression, compiled once
-   (widths resolved at compile time, values flow as masked int64
-   payloads), plus every table that depends only on the design. Its only
-   mutable parts are the assign programs' registers, scratch space that no
-   result outlives. All per-campaign mutable state lives inside each
-   {!run}, so a single instance can be reused across any number of
-   sequential runs — the parallel harness gives each worker domain its own
-   instance and reuses it for every batch that worker executes. Instances
-   must not be shared across domains concurrently (compiled closures are
-   reentrant, but the engine state that feeds them is not). *)
+   into kernel programs (widths resolved at compile time, values flow as
+   masked int64 payloads), plus every table that depends only on the
+   design. Its only mutable parts are the programs' registers and the
+   walks' written sets, scratch space that no result outlives. All
+   per-campaign mutable state lives inside each {!run}, so a single
+   instance can be reused across any number of sequential runs — the
+   parallel harness gives each worker domain its own instance and reuses
+   it for every batch that worker executes. Instances must not be shared
+   across domains concurrently. *)
 type instance = {
   inst_graph : Elaborate.t;
   comb_nodes : node array;  (* by topological comb position *)
@@ -81,7 +81,7 @@ let instance (g : Elaborate.t) =
         {
           pos = -1;
           pid;
-          cp = Compile.proc_i ~sig_width ~mem_width ~mem_size p.body;
+          cp = Kernel.body ~sig_width ~mem_width ~mem_size p.body;
           writes = g.proc_nb_writes.(pid);
         })
       d.procs
@@ -94,26 +94,16 @@ let instance (g : Elaborate.t) =
         | Elaborate.Cassign i ->
             let a = d.assigns.(i) in
             let prog =
-              Assign_kernel.compile ~sig_width ~mem_width ~mem_size a.expr
+              Kernel.compile ~sig_width ~mem_width ~mem_size a.expr
             in
             let path_off = !path_size in
-            path_size := path_off + prog.Assign_kernel.nreads;
+            path_size := path_off + prog.Kernel.nreads;
             Kassign { apos = pos; target = a.target; prog; path_off }
         | Elaborate.Cproc pid ->
             let p = { (procs.(pid)) with pos; writes = g.comb_writes.(pos) } in
             procs.(pid) <- p;
             Kcomb p)
       g.comb_nodes
-  in
-  let decision_ids =
-    Array.map
-      (fun p ->
-        let acc = ref [] in
-        Array.iteri
-          (fun i n -> match n with Cfg.Decision _ -> acc := i :: !acc | _ -> ())
-          p.cp.Compile.icfg.nodes;
-        Array.of_list (List.rev !acc))
-      procs
   in
   let is_state = Array.make (Design.num_signals d) false in
   Array.iter
@@ -124,7 +114,7 @@ let instance (g : Elaborate.t) =
     inst_graph = g;
     comb_nodes;
     procs;
-    decision_ids;
+    decision_ids = Array.map (fun p -> Kernel.decisions p.cp) procs;
     mem_writer = Array.map (fun ms -> Array.length ms > 0) g.proc_write_mems;
     is_state;
     path_size = !path_size;
@@ -190,13 +180,12 @@ type run = {
   mutable dirty_lo : int;
   mutable current_pos : int;
       (* node being evaluated right now: no self-triggering on own writes *)
-  (* ---- readers / writers ---- *)
-  kview : Assign_kernel.view;  (* what the assign programs read *)
-  good_reader : Access.ireader;
-  fault_reader : Access.ireader;
-  good_writer : Access.iwriter;
-  fault_writer : Access.iwriter;
-  mutable cur_fault : int;
+  (* ---- what the kernel programs read, and where bodies store ---- *)
+  kview : Kernel.view;
+  sink : Kernel.sink;
+  replay_write : int -> int64 -> unit;
+      (* [write_good], for [Goodtrace]'s comb-process replay: built once,
+         not partially applied per replayed event *)
   mutable cur_pid : int;
   mutable fault_nba : (int * int * int64) list;
   fault_mem_writes : (int * int * int * int64) list array;
@@ -326,10 +315,6 @@ let fault_value r f id =
   if slot >= 0 then Bigarray.Array1.unsafe_get tbl.Faultmap.vals slot
   else good_value r id
 
-(* A stored diff always differs from the good value ([set_diff] and
-   [write_good] drop equal entries), so visibility is membership. *)
-let visible r f id = diff_slot r.diffs.(id) f >= 0
-
 let force_if_site r f id v =
   let fa = r.faults.(f) in
   if fa.Fault.signal = id then Fault.force_i64 fa v else v
@@ -410,6 +395,40 @@ let write_good_mem r m a v =
     mark_fanout r r.g.fanout_mem.(m) ~good:true
   end
 
+(* ---- the store sink ----
+   Where the kernel hands a body's stores, the value in the program's
+   output register; [f] is -1 for the good copy. The good copy writes the
+   good state (a blocking store, recorded when capturing) or queues its
+   round's writes for the NBA commit. A fault's copy sets its diffs (a
+   blocking store, forced at its site) or queues its own writes. Design
+   validation keeps blocking writes in comb processes and the rest in ff
+   processes. *)
+let[@inline] stored (p : Kernel.t) = Bigarray.Array1.unsafe_get p.regs p.out
+
+let store_blocking r f id p =
+  let v = stored p in
+  if f < 0 then begin
+    (match r.gx with
+    | Gcap _ ->
+        r.good_writes_of.(r.cur_pid) <- (id, v) :: r.good_writes_of.(r.cur_pid)
+    | Gcold | Grep _ -> ());
+    write_good r id v
+  end
+  else set_diff r id f (force_if_site r f id v)
+
+let store_nonblocking r f id p =
+  let v = stored p in
+  if f < 0 then
+    r.good_writes_of.(r.cur_pid) <- (id, v) :: r.good_writes_of.(r.cur_pid)
+  else r.fault_nba <- (f, id, v) :: r.fault_nba
+
+let store_mem r f m a p =
+  let v = stored p in
+  if f < 0 then
+    r.good_mem_writes_of.(r.cur_pid) <-
+      (m, a, v) :: r.good_mem_writes_of.(r.cur_pid)
+  else r.fault_mem_writes.(f) <- (r.cur_pid, m, a, v) :: r.fault_mem_writes.(f)
+
 (* ---- branch records ---- *)
 let choices_of r pid =
   let rc = r.record.(pid) in
@@ -476,12 +495,11 @@ let proc_fault_set r p =
   scan_all scan_mem_faults r add_fault r.g.proc_write_mems.(p.pid)
 
 (* ---- Algorithm 1: the implicit-redundancy walk ---- *)
-let walk_redundant r (cp : Compile.ti) rec_arr =
+let walk_redundant r p f =
   let t0 = if r.tracing then Obs.Trace.span_begin "vdg_walk" else 0 in
   r.walk_steps := 0;
   let res =
-    Compile.redundant cp ~choices:rec_arr ~good:r.good_reader
-      ~fault:r.fault_reader ~visible:(visible r r.cur_fault)
+    Kernel.redundant p.cp r.kview f ~choices:r.record.(p.pid)
       ~visited:r.walk_steps
   in
   if r.tracing then Obs.Trace.span_end "vdg_walk" t0;
@@ -507,7 +525,7 @@ let must_execute r p ~site f =
       if
         (not site)
         && r.record_valid.(p.pid)
-        && walk_redundant r p.cp r.record.(p.pid)
+        && walk_redundant r p f
       then begin
         r.rows.(p.pid).pr_impl <- r.rows.(p.pid).pr_impl + 1;
         false
@@ -534,7 +552,7 @@ let bn_end r =
 (* Evaluates the assign on the good state, recording its path. *)
 let eval_good_path r a =
   r.path_len.(a.apos) <-
-    Assign_kernel.eval_good a.prog r.kview ~path:r.path ~off:a.path_off
+    Kernel.eval_good a.prog r.kview ~path:r.path ~off:a.path_off
 
 (* ---- phase 1: good step ----
    The good network's result at one node: [Gcold] and [Gcap] evaluate it
@@ -555,7 +573,7 @@ let good_step r node =
   | Kcomb p, Grep (_, cur) ->
       Goodtrace.take_comb_proc cur ~pos:p.pos ~pid:p.pid
         ~set_choice:(restore_choices r p.pid)
-        ~write:r.good_writer.Access.iset_blocking
+        ~write:r.replay_write
   | Kff p, Grep (_, cur) ->
       let ws, mws =
         Goodtrace.take_ff_proc cur ~pid:p.pid
@@ -570,7 +588,7 @@ let good_step r node =
       r.good_writes_of.(p.pid) <- [];
       r.good_mem_writes_of.(p.pid) <- [];
       r.record_valid.(p.pid) <- true;
-      Compile.exec_i p.cp ~record:r.record.(p.pid) r.good_reader r.good_writer;
+      Kernel.exec_good p.cp r.kview ~record:r.record.(p.pid) r.sink;
       if r.tracing then Obs.Trace.span_end "good_sim" t0;
       let ws = List.rev r.good_writes_of.(p.pid) in
       let mws = List.rev r.good_mem_writes_of.(p.pid) in
@@ -631,7 +649,7 @@ let assign_faults r a =
     r.stats.Stats.rtl_fault_eval + Ivec.length r.fset;
   for i = 0 to Ivec.length r.fset - 1 do
     let f = Ivec.get r.fset i in
-    let changed = Assign_kernel.eval_fault a.prog r.kview f ~target:a.target in
+    let changed = Kernel.eval_fault a.prog r.kview f ~target:a.target in
     let v = Bigarray.Array1.unsafe_get a.prog.regs a.prog.out in
     let fa = r.faults.(f) in
     if fa.Fault.signal = a.target then
@@ -640,7 +658,6 @@ let assign_faults r a =
   done
 
 let comb_proc_fault r p f =
-  r.cur_fault <- f;
   let site =
     (not (Fault.is_transient r.faults.(f)))
     &&
@@ -649,7 +666,7 @@ let comb_proc_fault r p f =
   in
   if must_execute r p ~site f then begin
     r.rows.(p.pid).pr_exec <- r.rows.(p.pid).pr_exec + 1;
-    Compile.exec_i p.cp r.fault_reader r.fault_writer
+    Kernel.exec_fault p.cp r.kview f r.sink
   end
   else
     (* reconcile: the faulty execution would write the good values (comb
@@ -773,7 +790,6 @@ let preserve_for r pid f =
 let ff_proc_fault r p ~n_supp ~mem_round f =
   if n_supp = 0 || not (Diffstore.Counts.mem r.suppressed (pair r p.pid f))
   then begin
-    r.cur_fault <- f;
     let exec = must_execute r p ~site:false f in
     if mem_round then involve r f;
     if exec then begin
@@ -781,7 +797,7 @@ let ff_proc_fault r p ~n_supp ~mem_round f =
       if r.inst.mem_writer.(p.pid) then
         Diffstore.Counts.bump r.executed_mw (pair r p.pid f) 1;
       preserve_for r p.pid f;
-      Compile.exec_i p.cp r.fault_reader r.fault_writer
+      Kernel.exec_fault p.cp r.kview f r.sink
     end
     else Ivec.push r.recon (pair r p.pid f)
   end
@@ -820,7 +836,6 @@ let behavioral_round r fired ~mem_round =
     (fun k ->
       let pid = k / r.stride and f = k mod r.stride in
       if (not r.good_fired.(pid)) && r.live.(f) then begin
-        r.cur_fault <- f;
         r.cur_pid <- pid;
         r.rows.(pid).pr_exec <- r.rows.(pid).pr_exec + 1;
         if mem_round then involve r f;
@@ -828,7 +843,7 @@ let behavioral_round r fired ~mem_round =
           Diffstore.Counts.bump r.executed_mw k 1;
           r.solo_mw_of.(f) <- pid :: r.solo_mw_of.(f)
         end;
-        Compile.exec_i r.inst.procs.(pid).cp r.fault_reader r.fault_writer
+        Kernel.exec_fault r.inst.procs.(pid).cp r.kview f r.sink
       end)
     r.solo;
   bn_end r
@@ -1063,48 +1078,14 @@ let create ~config ?probe ?capture ?goodtrace (inst : instance)
       dirty_hi = -1;
       dirty_lo = ncomb;
       current_pos = -1;
-      kview = { Assign_kernel.st; diffs; mem_diffs; mem_fault_words };
-      good_reader = Access.reader_of_state st;
-      fault_reader =
+      kview = { Kernel.st; diffs; mem_diffs; mem_fault_words };
+      sink =
         {
-          Access.iget = (fun id -> fault_value r r.cur_fault id);
-          iget_mem = (fun m a -> fault_mem_value r r.cur_fault m a);
+          Kernel.blocking = (fun f id p -> store_blocking r f id p);
+          nonblocking = (fun f id p -> store_nonblocking r f id p);
+          mem_write = (fun f m a p -> store_mem r f m a p);
         };
-      (* Design validation keeps blocking writes in comb processes and the
-         rest in ff processes, so one writer per network serves both. *)
-      good_writer =
-        {
-          Access.iset_blocking =
-            (fun id v ->
-              (match r.gx with
-              | Gcap _ ->
-                  r.good_writes_of.(r.cur_pid) <-
-                    (id, v) :: r.good_writes_of.(r.cur_pid)
-              | Gcold | Grep _ -> ());
-              write_good r id v);
-          iset_nonblocking =
-            (fun id v ->
-              r.good_writes_of.(r.cur_pid) <-
-                (id, v) :: r.good_writes_of.(r.cur_pid));
-          iwrite_mem =
-            (fun m a v ->
-              r.good_mem_writes_of.(r.cur_pid) <-
-                (m, a, v) :: r.good_mem_writes_of.(r.cur_pid));
-        };
-      fault_writer =
-        {
-          Access.iset_blocking =
-            (fun id v ->
-              set_diff r id r.cur_fault (force_if_site r r.cur_fault id v));
-          iset_nonblocking =
-            (fun id v -> r.fault_nba <- (r.cur_fault, id, v) :: r.fault_nba);
-          iwrite_mem =
-            (fun m a v ->
-              let f = r.cur_fault in
-              r.fault_mem_writes.(f) <-
-                (r.cur_pid, m, a, v) :: r.fault_mem_writes.(f));
-        };
-      cur_fault = -1;
+      replay_write = (fun id v -> write_good r id v);
       cur_pid = -1;
       fault_nba = [];
       fault_mem_writes = Array.make nfaults [];
@@ -1115,7 +1096,7 @@ let create ~config ?probe ?capture ?goodtrace (inst : instance)
           d.procs;
       record =
         Array.map
-          (fun p -> Array.make (Array.length p.cp.Compile.icfg.nodes) 0)
+          (fun p -> Array.make (Kernel.node_count p.cp) 0)
           inst.procs;
       record_valid = Array.make nproc false;
       path = Array.make inst.path_size 0;

@@ -21,7 +21,7 @@ type i32a = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 type i64a = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** Read-only outside this module, so that a hot loop can look a key up
-    with plain loads: no call, no boxed result (see {!Assign_kernel}). *)
+    with plain loads: no call, no boxed result (see {!Kernel}). *)
 type t = private {
   nkeys : int;
   mutable pos : i32a;

@@ -110,12 +110,16 @@ let torn_write ~batch line =
       else None
 
 (* The engine-side hook: flip one fault's output-port view at a fixed
-   cycle of every run. The cycle and target are pure functions of the
-   seed (and the batch width), so a given batch corrupts identically on
-   any worker and on every replay — which is exactly what lets the
-   shrinker reproduce the divergence it is minimising. *)
+   cycle of every run, at any rate above 0. The cycle and target are pure
+   functions of the seed (and the batch width), so a given batch corrupts
+   identically on any worker and on every replay — which is exactly what
+   lets the shrinker reproduce the divergence it is minimising. *)
 let corrupt_for s ~cycle ~nfaults =
-  if nfaults = 0 || not (List.mem Corrupt_diffstore s.plan.kinds) then None
+  if
+    nfaults = 0
+    || (not (s.plan.rate > 0.0))
+    || not (List.mem Corrupt_diffstore s.plan.kinds)
+  then None
   else
     let c0 = Int64.to_int (Int64.rem (Int64.abs s.plan.seed) 16L) in
     if cycle <> c0 then None

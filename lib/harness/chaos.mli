@@ -21,8 +21,13 @@
       record mid-write and raises {!Killed} ([Torn_journal_write]),
       simulating a crash for the resume path.
 
-    Every injection fires {e at most once} per (kind, batch) per
-    {!install}, so a retried batch succeeds and the campaign converges. *)
+    Every injection but [Corrupt_diffstore] fires {e at most once} per
+    (kind, batch) per {!install}, so a retried batch succeeds and the
+    campaign converges. [Corrupt_diffstore] draws no coin per batch: at any
+    rate above 0 it fires in every engine run, at cycle [seed mod 16], so
+    the divergence it causes reproduces on every replay (the shrinker
+    relies on this) and the online oracle check quarantines it. At rate 0
+    no kind fires. *)
 
 type kind =
   | Raise_in_batch  (** task body raises before the engine runs *)
@@ -39,7 +44,9 @@ val kind_of_name : string -> kind option
 type plan = {
   seed : int64;  (** roots every injection decision *)
   kinds : kind list;  (** enabled injection kinds *)
-  rate : float;  (** per-(kind, batch) firing probability in [0, 1] *)
+  rate : float;
+      (** per-(kind, batch) firing probability in [0, 1]; the CLI rejects
+          any other value, NaN included *)
 }
 
 (** All four kinds at rate 0.5, seed [0xC4A05]. *)

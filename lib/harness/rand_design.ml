@@ -116,6 +116,19 @@ let rec gen_ff_stmt rng pool mems ram regs depth =
             gen_ff_stmt rng pool mems ram regs (depth - 1),
             if Rng.bool rng then gen_ff_stmt rng pool mems ram regs (depth - 1)
             else Stmt.Skip )
+    | 3 when Rng.int rng 3 = 0 ->
+        (* 9-16 arms over a 4-bit scrutinee, as in the instruction
+           decoders of the CPU benchmarks, with one label repeated (its
+           first arm wins) and scrutinee values that match no label *)
+        let n = 9 + Rng.int rng 8 in
+        let labels = Array.init 16 Fun.id in
+        Rng.shuffle rng labels;
+        let dup = 1 + Rng.int rng (n - 1) in
+        labels.(dup) <- labels.(Rng.int rng dup);
+        let arms =
+          List.init n (fun i -> (Bits.of_int 4 labels.(i), assign ()))
+        in
+        Stmt.Case (gen_expr rng pool mems 2 4, arms, assign ())
     | 3 ->
         let scrut_w = 2 in
         let arms =

@@ -60,74 +60,6 @@ let rec expr ~mem_size e : compiled_expr =
       let size = mem_size m in
       fun r -> r.Access.get_mem m (Eval.wrap_address (ca r) size)
 
-type compiled_expr_i = Access.ireader -> int64
-
-(* Payload compilation: widths are resolved once here and baked into the
-   closures, so evaluation never consults a per-value width again. *)
-let expr_i ~sig_width ~mem_width ~mem_size e : compiled_expr_i =
-  let rec compile e =
-    let wd e = Expr.width ~sig_width ~mem_width e in
-    match e with
-    | Expr.Const b ->
-        let v = Bits.to_int64 b in
-        fun _ -> v
-    | Expr.Sig id -> fun r -> r.Access.iget id
-    | Expr.Unop (op, a) -> (
-        let wa = wd a in
-        let ca = compile a in
-        match op with
-        | Expr.Not -> fun r -> Bitops.lognot wa (ca r)
-        | Expr.Neg -> fun r -> Bitops.neg wa (ca r)
-        | Expr.Red_and -> fun r -> Bitops.reduce_and wa (ca r)
-        | Expr.Red_or -> fun r -> Bitops.reduce_or (ca r)
-        | Expr.Red_xor -> fun r -> Bitops.reduce_xor (ca r))
-    | Expr.Binop (op, a, b) -> (
-        let wa = wd a in
-        let ca = compile a and cb = compile b in
-        match op with
-        | Expr.Add -> fun r -> Bitops.add wa (ca r) (cb r)
-        | Expr.Sub -> fun r -> Bitops.sub wa (ca r) (cb r)
-        | Expr.Mul -> fun r -> Bitops.mul wa (ca r) (cb r)
-        | Expr.Divu -> fun r -> Bitops.divu wa (ca r) (cb r)
-        | Expr.Modu -> fun r -> Bitops.modu (ca r) (cb r)
-        | Expr.And -> fun r -> Bitops.logand (ca r) (cb r)
-        | Expr.Or -> fun r -> Bitops.logor (ca r) (cb r)
-        | Expr.Xor -> fun r -> Bitops.logxor (ca r) (cb r)
-        | Expr.Shl -> fun r -> Bitops.shift_left wa (ca r) (cb r)
-        | Expr.Shru -> fun r -> Bitops.shift_right wa (ca r) (cb r)
-        | Expr.Shra -> fun r -> Bitops.shift_right_arith wa (ca r) (cb r)
-        | Expr.Eq -> fun r -> Bitops.eq (ca r) (cb r)
-        | Expr.Neq -> fun r -> Bitops.neq (ca r) (cb r)
-        | Expr.Ltu -> fun r -> Bitops.ltu (ca r) (cb r)
-        | Expr.Leu -> fun r -> Bitops.leu (ca r) (cb r)
-        | Expr.Gtu -> fun r -> Bitops.gtu (ca r) (cb r)
-        | Expr.Geu -> fun r -> Bitops.geu (ca r) (cb r)
-        | Expr.Lts -> fun r -> Bitops.lts wa (ca r) (cb r)
-        | Expr.Les -> fun r -> Bitops.les wa (ca r) (cb r)
-        | Expr.Gts -> fun r -> Bitops.gts wa (ca r) (cb r)
-        | Expr.Ges -> fun r -> Bitops.ges wa (ca r) (cb r))
-    | Expr.Mux (sel, a, b) ->
-        let cs = compile sel and ca = compile a and cb = compile b in
-        fun r -> if Bitops.is_true (cs r) then ca r else cb r
-    | Expr.Slice (a, hi, lo) ->
-        let ca = compile a in
-        fun r -> Bitops.slice ~hi ~lo (ca r)
-    | Expr.Concat (a, b) ->
-        let lo_width = wd b in
-        let ca = compile a and cb = compile b in
-        fun r -> Bitops.concat ~lo_width (ca r) (cb r)
-    | Expr.Zext (a, _) -> compile a
-    | Expr.Sext (a, w) ->
-        let from = wd a in
-        let ca = compile a in
-        fun r -> Bitops.sext ~from w (ca r)
-    | Expr.Mem_read (m, addr) ->
-        let ca = compile addr in
-        let size = mem_size m in
-        fun r -> r.Access.iget_mem m (Eval.wrap_address_i (ca r) size)
-  in
-  compile e
-
 let simple_stmt ~mem_size = function
   | Stmt.Assign (id, e) ->
       let ce = expr ~mem_size e in
@@ -209,221 +141,3 @@ let exec t reader writer =
         walk d.targets.(t.choosers.(cur) (t.selectors.(cur) reader))
   in
   walk t.cfg.entry
-
-(* --- payload-compiled procs --- *)
-
-let simple_stmt_i ~sig_width ~mem_width ~mem_size =
-  let expr_i = expr_i ~sig_width ~mem_width ~mem_size in
-  function
-  | Stmt.Assign (id, e) ->
-      let ce = expr_i e in
-      fun r (w : Access.iwriter) -> w.iset_blocking id (ce r)
-  | Stmt.Nonblock (id, e) ->
-      let ce = expr_i e in
-      fun r (w : Access.iwriter) -> w.iset_nonblocking id (ce r)
-  | Stmt.Mem_write (m, addr, data) ->
-      let ca = expr_i addr and cd = expr_i data in
-      let size = mem_size m in
-      fun r (w : Access.iwriter) ->
-        w.iwrite_mem m (Eval.wrap_address_i (ca r) size) (cd r)
-  | Stmt.Skip -> fun _ _ -> ()
-  | Stmt.Block _ | Stmt.If _ | Stmt.Case _ ->
-      invalid_arg "Compile.simple_stmt_i: control statement in a segment"
-
-(* What the redundancy walk checks at one CFG node. Reads split by whether
-   the body blocking-writes them anywhere; "local ids" number the body's
-   blocking targets, so a walk's written set is one byte per target. *)
-type site = {
-  mem : int;
-  size : int;
-  addr : compiled_expr_i;
-  addr_locals : int array;  (* local ids of the address's reads *)
-}
-
-type dep = {
-  ext_reads : int array;  (* reads the body never blocking-writes *)
-  local_reads : int array;  (* reads it may blocking-write ... *)
-  local_read_ids : int array;  (* ... and their local ids *)
-  sites : site array;
-  local_writes : int array;  (* blocking targets, as local ids *)
-}
-
-type ti = {
-  icfg : Cfg.t;
-  ivdg : Vdg.t;
-  isegments : (Access.ireader -> Access.iwriter -> unit) array array;
-  iselectors : compiled_expr_i array;
-  ichoosers : (int64 -> int) array;
-  ideps : dep array;
-  inlocals : int;
-}
-
-(* Case labels share the scrutinee's width (design-validated), so payload
-   equality is full equality and the chooser never needs widths. *)
-let chooser_i (d : Cfg.decision) : int64 -> int =
-  match d.labels with
-  | None -> fun v -> if v <> 0L then 0 else 1
-  | Some labels when Array.length labels > 8 ->
-      let table = Hashtbl.create (Array.length labels * 2) in
-      Array.iteri
-        (fun i label ->
-          let key = Bits.to_int64 label in
-          if not (Hashtbl.mem table key) then Hashtbl.add table key i)
-        labels;
-      let default = Array.length labels in
-      fun v ->
-        (match Hashtbl.find_opt table v with
-        | Some i -> i
-        | None -> default)
-  | Some labels ->
-      let n = Array.length labels in
-      let keys = Array.map Bits.to_int64 labels in
-      fun v ->
-        let rec scan i =
-          if i >= n then n
-          else if Int64.equal keys.(i) v then i
-          else scan (i + 1)
-        in
-        scan 0
-
-let proc_i ~sig_width ~mem_width ~mem_size body =
-  let cfg = Cfg.build body in
-  let vdg = Vdg.build cfg in
-  let expr_i = expr_i ~sig_width ~mem_width ~mem_size in
-  let n = Array.length cfg.nodes in
-  let isegments = Array.make n [||] in
-  let iselectors = Array.make n (fun _ -> 0L) in
-  let ichoosers = Array.make n (fun _ -> 0) in
-  let local_id = Hashtbl.create 16 in
-  List.iteri
-    (fun i id -> Hashtbl.add local_id id i)
-    (Stmt.blocking_writes body);
-  let locals ids =
-    Array.of_list (List.filter_map (Hashtbl.find_opt local_id) ids)
-  in
-  let dep reads sites writes =
-    let local, ext = List.partition (Hashtbl.mem local_id) reads in
-    {
-      ext_reads = Array.of_list ext;
-      local_reads = Array.of_list local;
-      local_read_ids = locals local;
-      sites =
-        Array.map
-          (fun (m, addr_e) ->
-            {
-              mem = m;
-              size = mem_size m;
-              addr = expr_i addr_e;
-              addr_locals = locals (Expr.read_signals addr_e);
-            })
-          sites;
-      local_writes = locals writes;
-    }
-  in
-  let ideps =
-    Array.mapi
-      (fun i node ->
-        match node with
-        | Cfg.Segment s ->
-            isegments.(i) <-
-              Array.of_list
-                (List.map (simple_stmt_i ~sig_width ~mem_width ~mem_size)
-                   s.stmts);
-            dep (Array.to_list s.reads) s.mem_sites (Array.to_list s.blocking)
-        | Cfg.Decision d ->
-            iselectors.(i) <- expr_i d.selector;
-            ichoosers.(i) <- chooser_i d;
-            dep (Array.to_list d.sel_reads) d.sel_mem_sites []
-        | Cfg.Exit -> dep [] [||] [])
-      cfg.nodes
-  in
-  {
-    icfg = cfg;
-    ivdg = vdg;
-    isegments;
-    iselectors;
-    ichoosers;
-    ideps;
-    inlocals = Hashtbl.length local_id;
-  }
-
-let exec_i t ?record reader writer =
-  let nodes = t.icfg.nodes in
-  let rec walk cur =
-    match nodes.(cur) with
-    | Cfg.Exit -> ()
-    | Cfg.Segment s ->
-        let closures = t.isegments.(cur) in
-        for i = 0 to Array.length closures - 1 do
-          closures.(i) reader writer
-        done;
-        walk s.succ
-    | Cfg.Decision d ->
-        let choice = t.ichoosers.(cur) (t.iselectors.(cur) reader) in
-        (match record with Some arr -> arr.(cur) <- choice | None -> ());
-        walk d.targets.(choice)
-  in
-  walk t.icfg.entry
-
-(* Algorithm 1, as top-level functions over explicit arguments so a walk
-   allocates nothing of its own. The written set is one byte per local id;
-   a body without blocking writes walks with an empty one and finds no
-   local read anywhere. *)
-let rec any_written written ids i =
-  i < Array.length ids
-  && (Bytes.get written ids.(i) <> '\000' || any_written written ids (i + 1))
-
-(* No read the walk must check is visible: external reads always, local
-   ones only while no earlier segment on the path has written them. *)
-let rec locals_clean written visible d i =
-  i >= Array.length d.local_reads
-  || (Bytes.get written d.local_read_ids.(i) <> '\000'
-     || not (visible d.local_reads.(i)))
-     && locals_clean written visible d (i + 1)
-
-let reads_clean written visible d =
-  (not (Array.exists visible d.ext_reads)) && locals_clean written visible d 0
-
-(* The address is recomputed under the good values, equal to the fault's
-   since its reads were checked invisible; one reading a local write
-   cannot be recomputed against pre-execution state. *)
-let rec sites_clean written good fault sites i =
-  i >= Array.length sites
-  ||
-  let s = sites.(i) in
-  (not (any_written written s.addr_locals 0))
-  && (let a = Eval.wrap_address_i (s.addr good) s.size in
-      Int64.equal
-        (fault.Access.iget_mem s.mem a)
-        (good.Access.iget_mem s.mem a))
-  && sites_clean written good fault sites (i + 1)
-
-let rec walk t choices good fault visible visited written cur =
-  incr visited;
-  match t.icfg.nodes.(cur) with
-  | Cfg.Exit -> true
-  | Cfg.Decision d ->
-      let gc = choices.(cur) and dep = t.ideps.(cur) in
-      (if any_written written dep.local_read_ids 0 then
-         reads_clean written visible dep
-         && sites_clean written good fault dep.sites 0
-       else t.ichoosers.(cur) (t.iselectors.(cur) fault) = gc)
-      && walk t choices good fault visible visited written d.targets.(gc)
-  | Cfg.Segment _ when not t.ivdg.Vdg.interesting.(cur) ->
-      walk t choices good fault visible visited written t.ivdg.Vdg.next.(cur)
-  | Cfg.Segment _ ->
-      let dep = t.ideps.(cur) in
-      reads_clean written visible dep
-      && sites_clean written good fault dep.sites 0
-      &&
-      let w = dep.local_writes in
-      for i = 0 to Array.length w - 1 do
-        Bytes.set written w.(i) '\001'
-      done;
-      walk t choices good fault visible visited written t.ivdg.Vdg.next.(cur)
-
-let redundant t ~choices ~good ~fault ~visible ~visited =
-  let written =
-    if t.inlocals = 0 then Bytes.empty else Bytes.make t.inlocals '\000'
-  in
-  walk t choices good fault visible visited written t.icfg.entry

@@ -35,9 +35,6 @@ let apply_binop op a b =
   | Expr.Gts -> Bits.gts a b
   | Expr.Ges -> Bits.ges a b
 
-let wrap_address_i v size =
-  Int64.to_int (Int64.unsigned_rem v (Int64.of_int size))
-
 let eval ~mem_size (r : Access.reader) e =
   let rec go = function
     | Expr.Const b -> b

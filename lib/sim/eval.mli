@@ -1,6 +1,6 @@
 (** Tree-walking expression evaluation, for one-off evaluations that do not
     pay for compiling (static fault classification), plus the
-    address-wrapping helpers shared with {!Compile} and {!Bytecode}. The
+    address-wrapping helper shared with {!Compile} and {!Bytecode}. The
     simulators' hot paths, and the Algorithm 1 walk, run compiled
     expressions instead. *)
 
@@ -12,6 +12,3 @@ val eval : mem_size:(int -> int) -> Access.reader -> Expr.t -> Bits.t
 
 (** Wrap a raw address vector onto [0 .. size-1]. *)
 val wrap_address : Bits.t -> int -> int
-
-(** Payload variant of {!wrap_address}. *)
-val wrap_address_i : int64 -> int -> int

@@ -268,6 +268,23 @@ let test_disabled_seams_no_alloc () =
   check (Alcotest.float 0.0) "no minor allocation when uninstalled" 0.0
     (after -. before)
 
+(* Rate 0 injects nothing, the per-run corruption included; any rate
+   above 0 keeps it firing in every run. *)
+let test_rate_zero_injects_nothing () =
+  let _, g, w, faults = campaign () in
+  let plan = { C.seed = 11L; kinds = C.all_kinds; rate = 0.0 } in
+  let s, counts, _ = run_under_chaos plan ~jobs:2 g w faults in
+  List.iter
+    (fun (k, n) -> check Alcotest.int (C.kind_name k ^ " injections") 0 n)
+    counts;
+  check bool_t "no divergence quarantined" true (s.R.divergences = []);
+  check bool_t "no retry or restart" true
+    (s.R.retries = 0 && s.R.restarts = 0);
+  let plan = { plan with C.kinds = [ C.Corrupt_diffstore ]; rate = 0.01 } in
+  let _, counts, _ = run_under_chaos plan ~jobs:1 g w faults in
+  check bool_t "a low rate still corrupts" true
+    (List.assoc C.Corrupt_diffstore counts > 0)
+
 let suite =
   [
     Alcotest.test_case "plans are pure functions of the seed" `Quick
@@ -292,4 +309,6 @@ let suite =
       test_disabled_seams_no_alloc;
     Alcotest.test_case "retry records equal across jobs" `Quick
       test_retry_records_across_jobs;
+    Alcotest.test_case "rate 0 injects nothing" `Quick
+      test_rate_zero_injects_nothing;
   ]

@@ -184,4 +184,9 @@ let suite =
     (* --clock may name any input *)
     verilog_case "with --clock ck" ck_design [ "--clock"; "ck"; "--cycles=20" ]
       0;
+    (* a chaos rate outside [0, 1] is a bad workload, NaN included *)
+    case [ "chaos"; "-c"; "alu"; "--scale"; "0.05"; "--rate"; "2" ] 6;
+    case [ "chaos"; "-c"; "alu"; "--scale"; "0.05"; "--rate"; "nan" ] 6;
+    case [ "chaos"; "-c"; "alu"; "--scale"; "0.05"; "--rate=-0.5" ] 6;
+    case [ "faults"; "-c"; "alu"; "--scale"; "0.05"; "-n-3" ] 6;
   ]

@@ -1,10 +1,11 @@
-(* The assign kernel (Engine.Assign_kernel): its programs compute what the
-   reference evaluator computes, for the good network and for a fault over
-   a diff overlay; the reads a good run records are all a fault can change
-   the result through; and a run allocates nothing. *)
+(* The kernel (Engine.Kernel): its programs compute what the reference
+   evaluator computes, for the good network and for a fault over a diff
+   overlay; the reads a good run records are all a fault can change the
+   result through; and a run, a body's execution and a walk allocate
+   nothing. *)
 open Rtlir
 open Sim
-module K = Engine.Assign_kernel
+module K = Engine.Kernel
 module A = Bigarray.Array1
 
 let check = Alcotest.check
@@ -326,9 +327,109 @@ let test_no_allocation () =
   let w1 = Gc.minor_words () in
   check (Alcotest.float 0.) "minor words over 10,000 runs" 0. (w1 -. w0)
 
+(* riscv_mini's 8 behavioral bodies: 30,000 good runs recording their
+   choices, faulty runs over a signal-diff overlay and Algorithm-1 walks,
+   with a preallocated sink, move no minor word either: no closure, no
+   boxed read or store value, and choosers that allocate nothing. *)
+let test_bodies_no_allocation () =
+  let d, _, _, _ =
+    Circuits.Bench_circuit.instantiate (Circuits.find "riscv_mini") ~scale:0.06
+  in
+  let sig_width i = d.Design.signals.(i).Design.width in
+  let mem_width m = d.Design.mems.(m).Design.data_width in
+  let mem_size m = d.Design.mems.(m).Design.size in
+  let bodies =
+    Array.map
+      (fun (p : Design.proc) ->
+        K.body ~sig_width ~mem_width ~mem_size p.body)
+      d.Design.procs
+  in
+  check Alcotest.int "bodies" 8 (Array.length bodies);
+  let st = State.create d in
+  let rs = Random.State.make [| 11 |] in
+  let n = Design.num_signals d in
+  for s = 0 to n - 1 do
+    State.set st s (rand_payload rs (sig_width s))
+  done;
+  let nf = 8 in
+  let diffs = Array.init n (fun _ -> Engine.Faultmap.create ~nkeys:nf) in
+  for s = 0 to n - 1 do
+    if Random.State.int rs 4 = 0 then
+      Engine.Faultmap.set diffs.(s) (Random.State.int rs nf)
+        (Int64.logxor (State.get st s) 1L)
+  done;
+  let nmem = Array.length d.Design.mems in
+  let view =
+    {
+      K.st;
+      diffs;
+      mem_diffs =
+        Array.init nmem (fun _ -> Engine.Diffstore.create ~expect:4 ());
+      mem_fault_words =
+        Array.init nmem (fun _ -> Engine.Diffstore.Counts.create ~expect:4 ());
+    }
+  in
+  (* The good copy's blocking stores land in the good state; every store
+     value goes to a ring of 64 slots. *)
+  let ring = A.create Bigarray.int64 Bigarray.c_layout 64 in
+  let stores = ref 0 in
+  let keep (p : K.t) =
+    A.unsafe_set ring (!stores land 63) (A.unsafe_get p.K.regs p.K.out);
+    incr stores
+  in
+  let sink =
+    {
+      K.blocking =
+        (fun f s p ->
+          if f < 0 then
+            A.unsafe_set st.State.sig_v s (A.unsafe_get p.K.regs p.K.out);
+          keep p);
+      nonblocking = (fun _ _ p -> keep p);
+      mem_write = (fun _ _ _ p -> keep p);
+    }
+  in
+  let records = Array.map (fun b -> Array.make (K.node_count b) 0) bodies in
+  let visited = ref 0 and redundant = ref 0 in
+  let nb = Array.length bodies in
+  (* Each run first gives one signal a new payload, so that the bodies
+     take every kind of path, cases included. *)
+  let masks = A.create Bigarray.int64 Bigarray.c_layout n in
+  for s = 0 to n - 1 do
+    A.set masks s (mask (sig_width s))
+  done;
+  let run k =
+    let s = k mod n in
+    let h = Int64.mul (Int64.of_int (k + 1)) 0x9E3779B97F4A7C15L in
+    A.unsafe_set st.State.sig_v s
+      (Int64.logand (Int64.shift_right_logical h 17) (A.unsafe_get masks s));
+    let i = k mod nb and f = k mod nf in
+    match k / nb mod 3 with
+    | 0 -> K.exec_good bodies.(i) view ~record:records.(i) sink
+    | 1 -> K.exec_fault bodies.(i) view f sink
+    | _ ->
+        if K.redundant bodies.(i) view f ~choices:records.(i) ~visited then
+          incr redundant
+  in
+  for k = 0 to 3 * nb do
+    run k
+  done;
+  let w0 = Gc.minor_words () in
+  for k = 0 to 29_999 do
+    run k
+  done;
+  let w1 = Gc.minor_words () in
+  check (Alcotest.float 0.) "minor words over 30,000 runs" 0. (w1 -. w0);
+  check Alcotest.bool "stores made" true (!stores > 0);
+  check Alcotest.bool "walks visited nodes" true (!visited > 0);
+  check Alcotest.bool "a case chose an arm past its second" true
+    (Array.exists (Array.exists (fun c -> c >= 2)) records);
+  check Alcotest.bool "some walk skipped a copy" true (!redundant > 0)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck;
     Alcotest.test_case "no allocation on sha256_c2v's assigns" `Quick
       test_no_allocation;
+    Alcotest.test_case "no allocation in riscv_mini's bodies" `Quick
+      test_bodies_no_allocation;
   ]
