@@ -1065,7 +1065,11 @@ let run_verilog_cmd =
     Format.printf "%s: %d signals, %d faults, %d cycles@." design.Design.dname
       (Design.num_signals design)
       (Array.length faults) cycles;
-    let r = H.Campaign.run H.Campaign.Eraser g w faults in
+    (* so is a design whose clock edges oscillate within one time slot *)
+    let r =
+      try H.Campaign.run H.Campaign.Eraser g w faults
+      with Sim.Simulator.Unstable msg -> bad_workload ("unstable design: " ^ msg)
+    in
     Format.printf "  coverage   %.2f%% (%d/%d)@." r.Fault.coverage_pct
       (Fault.count_detected r) (Array.length faults);
     Format.printf "  wall time  %.3f s@." r.Fault.wall_time;

@@ -135,6 +135,49 @@ type gexec =
   | Gcap of Goodtrace.builder
   | Grep of Goodtrace.warm * Goodtrace.cursor
 
+(* ---- NBA logs ----
+   A round's fault-side NBA entries, in the order they were appended.
+   Entry [i] is a fault, a signal or memory, and an address (-1 for a
+   signal) at [keys.{3i}], [keys.{3i+1}] and [keys.{3i+2}], with its value
+   unboxed at [vals.{i}]. A round resets a log by its length and a full
+   log doubles, so once grown an append moves no minor word. Both columns
+   live outside the OCaml heap: as int arrays, each doubling would leave a
+   large major-heap block behind, and on bn_cold the major heap then
+   creeps up from run to run. *)
+type log = {
+  mutable keys : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  mutable vals : Faultmap.i64a;
+  mutable len : int;
+}
+
+let log_create () =
+  {
+    keys = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 192;
+    vals = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 64;
+    len = 0;
+  }
+
+(* Appends an entry and returns its index, where the caller stores the
+   value: passing the value here would box it. *)
+let log_add l f id addr =
+  let n = l.len in
+  if n = Bigarray.Array1.dim l.vals then begin
+    let keys = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (6 * n) in
+    let vals = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (2 * n) in
+    Bigarray.Array1.blit l.keys (Bigarray.Array1.sub keys 0 (3 * n));
+    Bigarray.Array1.blit l.vals (Bigarray.Array1.sub vals 0 n);
+    l.keys <- keys;
+    l.vals <- vals
+  end;
+  Bigarray.Array1.unsafe_set l.keys (3 * n) f;
+  Bigarray.Array1.unsafe_set l.keys ((3 * n) + 1) id;
+  Bigarray.Array1.unsafe_set l.keys ((3 * n) + 2) addr;
+  l.len <- n + 1;
+  n
+
+(* Entry [i]'s fault ([k] = 0), signal or memory (1) or address (2). *)
+let[@inline] log_key l i k = Bigarray.Array1.unsafe_get l.keys ((3 * i) + k)
+
 (* One engine run's state: built by [create], read and written by the six
    phase functions, packed into a result by [finish]. *)
 type run = {
@@ -187,7 +230,7 @@ type run = {
       (* [write_good], for [Goodtrace]'s comb-process replay: built once,
          not partially applied per replayed event *)
   mutable cur_pid : int;
-  mutable fault_nba : (int * int * int64) list;
+  fault_nba : log;  (* the fault copies' own nonblocking stores *)
   fault_mem_writes : (int * int * int * int64) list array;
       (* per fault: its own copies' memory writes this round, newest first,
          as (pid, mem, addr, value) *)
@@ -251,8 +294,9 @@ type run = {
   involved : Ivec.t;
   istamp : int array;
   mutable round_no : int;
-  mutable preserved : (int * int * int64) list;
-  mutable preserved_mem : (int * int * int * int64) list;
+  preserved : log;
+      (* the old values of a good round's targets, signals and memory
+         words, per fault whose copy executed or was suppressed *)
   (* ---- convergence ----
      Transients that have fired and are still live. At a cycle boundary a
      fault's diff entries are its whole faulty state (DESIGN.md, "Retiring
@@ -290,32 +334,32 @@ let[@inline] diff_slot tbl f =
   if tbl.Faultmap.count = 0 then -1
   else Int32.to_int (Bigarray.Array1.unsafe_get tbl.Faultmap.pos f)
 
-let set_diff r id f v =
-  let tbl = r.diffs.(id) in
-  let good = good_value r id in
-  let slot = diff_slot tbl f in
-  if v = good then begin
-    if slot >= 0 then begin
-      Faultmap.remove tbl f;
-      r.ndiff.(f) <- r.ndiff.(f) - 1;
-      mark_fanout r r.g.fanout_comb.(id) ~good:false
-    end
-  end
-  else if
-    slot < 0 || Bigarray.Array1.unsafe_get tbl.Faultmap.vals slot <> v
-  then begin
-    if slot < 0 then r.ndiff.(f) <- r.ndiff.(f) + 1;
-    Faultmap.set tbl f v;
-    mark_fanout r r.g.fanout_comb.(id) ~good:false
-  end
-
-let fault_value r f id =
+let[@inline] fault_value r f id =
   let tbl = r.diffs.(id) in
   let slot = diff_slot tbl f in
   if slot >= 0 then Bigarray.Array1.unsafe_get tbl.Faultmap.vals slot
   else good_value r id
 
-let force_if_site r f id v =
+(* [v] is not fault [f]'s current value of [id]: so a [v] equal to the
+   good value means [f] holds a diff there. *)
+let change_diff r id f v =
+  let tbl = r.diffs.(id) in
+  if v = good_value r id then begin
+    Faultmap.remove tbl f;
+    r.ndiff.(f) <- r.ndiff.(f) - 1
+  end
+  else begin
+    if diff_slot tbl f < 0 then r.ndiff.(f) <- r.ndiff.(f) + 1;
+    Faultmap.set tbl f v
+  end;
+  mark_fanout r r.g.fanout_comb.(id) ~good:false
+
+(* Inlined, so that storing fault [f]'s current value, common at the NBA
+   commit, boxes nothing. *)
+let[@inline] set_diff r id f v =
+  if fault_value r f id <> v then change_diff r id f v
+
+let[@inline] force_if_site r f id v =
   let fa = r.faults.(f) in
   if fa.Fault.signal = id then Fault.force_i64 fa v else v
 
@@ -366,7 +410,7 @@ let remove_dead r tbl =
     r.ndiff.(f) <- r.ndiff.(f) - 1
   done
 
-let write_good r id v =
+let rec write_good r id v =
   if good_value r id <> v then begin
     Bigarray.Array1.unsafe_set r.st.State.sig_v id v;
     let tbl = r.diffs.(id) in
@@ -383,11 +427,14 @@ let write_good r id v =
     end;
     mark_fanout r r.g.fanout_comb.(id) ~good:true
   end;
-  if r.site_faults.(id) <> [] then
-    List.iter
-      (fun f ->
-        if r.live.(f) then set_diff r id f (Fault.force_i64 r.faults.(f) v))
-      r.site_faults.(id)
+  force_sites r id v r.site_faults.(id)
+
+(* The faults sited on [id] see the good value [v] forced. *)
+and force_sites r id v = function
+  | [] -> ()
+  | f :: fs ->
+      if r.live.(f) then set_diff r id f (Fault.force_i64 r.faults.(f) v);
+      force_sites r id v fs
 
 let write_good_mem r m a v =
   if State.get_mem r.st m a <> v then begin
@@ -420,7 +467,9 @@ let store_nonblocking r f id p =
   let v = stored p in
   if f < 0 then
     r.good_writes_of.(r.cur_pid) <- (id, v) :: r.good_writes_of.(r.cur_pid)
-  else r.fault_nba <- (f, id, v) :: r.fault_nba
+  else
+    let i = log_add r.fault_nba f id (-1) in
+    Bigarray.Array1.unsafe_set r.fault_nba.vals i v
 
 let store_mem r f m a p =
   let v = stored p in
@@ -657,12 +706,15 @@ let assign_faults r a =
     else if changed then set_diff r a.target f v
   done
 
+(* Loops rather than [Array.exists]/[Array.iter] over a closure, and the
+   good value read unboxed: a fault copy allocates nothing here. *)
+let rec writes_signal ws s i =
+  i < Array.length ws && (ws.(i) = s || writes_signal ws s (i + 1))
+
 let comb_proc_fault r p f =
   let site =
     (not (Fault.is_transient r.faults.(f)))
-    &&
-    let fs = r.faults.(f).Fault.signal in
-    Array.exists (fun t -> t = fs) p.writes
+    && writes_signal p.writes r.faults.(f).Fault.signal 0
   in
   if must_execute r p ~site f then begin
     r.rows.(p.pid).pr_exec <- r.rows.(p.pid).pr_exec + 1;
@@ -671,9 +723,10 @@ let comb_proc_fault r p f =
   else
     (* reconcile: the faulty execution would write the good values (comb
        bodies assign every target on every path) *)
-    Array.iter
-      (fun t -> set_diff r t f (force_if_site r f t (State.get r.st t)))
-      p.writes
+    for i = 0 to Array.length p.writes - 1 do
+      let t = p.writes.(i) in
+      set_diff r t f (force_if_site r f t (good_value r t))
+    done
 
 let comb_proc_faults r p ~gd =
   let live_at = r.n_live in
@@ -686,8 +739,12 @@ let comb_proc_faults r p ~gd =
      the bit at an intermediate write can steer a later branch even when
      the final forced value happens to equal the good value (so no diff
      survives to flag them). *)
-  Array.iter (fun t -> List.iter (add_fault r) r.site_faults.(t)) p.writes;
-  Ivec.iter (comb_proc_fault r p) r.fset;
+  for i = 0 to Array.length p.writes - 1 do
+    List.iter (add_fault r) r.site_faults.(p.writes.(i))
+  done;
+  for i = 0 to Ivec.length r.fset - 1 do
+    comb_proc_fault r p (Ivec.get r.fset i)
+  done;
   count_explicit row
     ~considered:(if gd then live_at else Ivec.length r.fset)
     ~exec0 ~impl0
@@ -778,14 +835,23 @@ let involve r f =
     Ivec.push r.involved f
   end
 
+let rec preserve_sigs r f = function
+  | [] -> ()
+  | (id, _) :: ws ->
+      let i = log_add r.preserved f id (-1) in
+      Bigarray.Array1.unsafe_set r.preserved.vals i (fault_value r f id);
+      preserve_sigs r f ws
+
+let rec preserve_mems r f = function
+  | [] -> ()
+  | (m, a, _) :: ws ->
+      let i = log_add r.preserved f m a in
+      Bigarray.Array1.unsafe_set r.preserved.vals i (fault_mem_value r f m a);
+      preserve_mems r f ws
+
 let preserve_for r pid f =
-  List.iter
-    (fun (id, _) -> r.preserved <- (f, id, fault_value r f id) :: r.preserved)
-    r.good_writes_of.(pid);
-  List.iter
-    (fun (m, a, _) ->
-      r.preserved_mem <- (f, m, a, fault_mem_value r f m a) :: r.preserved_mem)
-    r.good_mem_writes_of.(pid)
+  preserve_sigs r f r.good_writes_of.(pid);
+  preserve_mems r f r.good_mem_writes_of.(pid)
 
 let ff_proc_fault r p ~n_supp ~mem_round f =
   if n_supp = 0 || not (Diffstore.Counts.mem r.suppressed (pair r p.pid f))
@@ -803,9 +869,8 @@ let ff_proc_fault r p ~n_supp ~mem_round f =
   end
 
 let behavioral_round r fired ~mem_round =
-  r.fault_nba <- [];
-  r.preserved <- [];
-  r.preserved_mem <- [];
+  r.fault_nba.len <- 0;
+  r.preserved.len <- 0;
   Ivec.clear r.recon;
   bn_begin r;
   List.iter
@@ -820,7 +885,9 @@ let behavioral_round r fired ~mem_round =
       begin_set r;
       if r.config.mode = No_redundancy then add_all_live r
       else proc_fault_set r p;
-      Ivec.iter (ff_proc_fault r p ~n_supp ~mem_round) r.fset;
+      for i = 0 to Ivec.length r.fset - 1 do
+        ff_proc_fault r p ~n_supp ~mem_round (Ivec.get r.fset i)
+      done;
       count_explicit row ~considered:(live_at - n_supp) ~exec0 ~impl0)
     fired;
   (* suppressed faults keep their (and the good network's) old register
@@ -857,30 +924,49 @@ let behavioral_round r fired ~mem_round =
    writes, executed -> its own writes, otherwise -> the good writes. A
    process that writes no memory adds nothing to the sequence, so visiting
    only writers keeps the order exact. *)
+let rec replay_own r f pid = function
+  | [] -> ()
+  | (p, m, a, v) :: older ->
+      (* oldest first: the list is newest first *)
+      replay_own r f pid older;
+      if p = pid then set_mem_diff r m f a v
+
+let rec replay_good_mem r f = function
+  | [] -> ()
+  | (m, a, v) :: ws ->
+      set_mem_diff r m f a v;
+      replay_good_mem r f ws
+
+let rec visit_mem_writers r f = function
+  | [] -> ()
+  | pid :: pids ->
+      let k = pair r pid f in
+      if Diffstore.Counts.mem r.suppressed k then ()
+      else if Diffstore.Counts.mem r.executed_mw k then
+        replay_own r f pid r.fault_mem_writes.(f)
+      else if r.good_fired.(pid) then
+        replay_good_mem r f r.good_mem_writes_of.(pid);
+      visit_mem_writers r f pids
+
 let replay_mem_writes r fired_mw f =
-  let own = List.rev r.fault_mem_writes.(f) in
-  let visit pid =
-    let k = pair r pid f in
-    if Diffstore.Counts.mem r.suppressed k then ()
-    else if Diffstore.Counts.mem r.executed_mw k then
-      List.iter
-        (fun (p, m, a, v) -> if p = pid then set_mem_diff r m f a v)
-        own
-    else if r.good_fired.(pid) then
-      List.iter
-        (fun (m, a, v) -> set_mem_diff r m f a v)
-        r.good_mem_writes_of.(pid)
-  in
   (match r.solo_mw_of.(f) with
-  | [] -> List.iter visit fired_mw
+  | [] -> visit_mem_writers r f fired_mw
   | solo_pids ->
-      List.iter visit
+      visit_mem_writers r f
         (List.merge compare fired_mw (List.sort_uniq compare solo_pids)));
   r.fault_mem_writes.(f) <- [];
   r.solo_mw_of.(f) <- []
 
+(* A copy skipped at a fired process writes the good values. *)
+let rec reconcile r f = function
+  | [] -> ()
+  | (id, v) :: ws ->
+      set_diff r id f (force_if_site r f id v);
+      reconcile r f ws
+
 (* Good writes first, then the preserved, reconciled and executed copies'
-   diffs; then the round's bookkeeping is reset. *)
+   diffs, each log in the order it was appended; then the round's
+   bookkeeping is reset. *)
 let nba_commit r fired ~fired_mw ~mem_round =
   let t0 = if r.tracing then Obs.Trace.span_begin "nba_commit" else 0 in
   List.iter
@@ -890,26 +976,28 @@ let nba_commit r fired ~fired_mw ~mem_round =
         (fun (m, a, v) -> write_good_mem r m a v)
         r.good_mem_writes_of.(pid))
     fired;
-  List.iter
-    (fun (f, id, v) -> if r.live.(f) then set_diff r id f v)
-    (List.rev r.preserved);
-  List.iter
-    (fun (f, m, a, v) -> if r.live.(f) then set_mem_diff r m f a v)
-    (List.rev r.preserved_mem);
-  Ivec.iter
-    (fun k ->
-      let f = k mod r.stride in
-      if r.live.(f) then
-        List.iter
-          (fun (id, v) -> set_diff r id f (force_if_site r f id v))
-          r.good_writes_of.(k / r.stride))
-    r.recon;
-  List.iter
-    (fun (f, id, v) ->
-      if r.live.(f) then set_diff r id f (force_if_site r f id v))
-    (List.rev r.fault_nba);
+  let l = r.preserved in
+  for i = 0 to l.len - 1 do
+    let f = log_key l i 0 and id = log_key l i 1 and a = log_key l i 2 in
+    let v = Bigarray.Array1.unsafe_get l.vals i in
+    if r.live.(f) then
+      if a < 0 then set_diff r id f v else set_mem_diff r id f a v
+  done;
+  for i = 0 to Ivec.length r.recon - 1 do
+    let k = Ivec.get r.recon i in
+    let f = k mod r.stride in
+    if r.live.(f) then reconcile r f r.good_writes_of.(k / r.stride)
+  done;
+  let l = r.fault_nba in
+  for i = 0 to l.len - 1 do
+    let f = log_key l i 0 and id = log_key l i 1 in
+    let v = Bigarray.Array1.unsafe_get l.vals i in
+    if r.live.(f) then set_diff r id f (force_if_site r f id v)
+  done;
   if mem_round then begin
-    Ivec.iter (replay_mem_writes r fired_mw) r.involved;
+    for i = 0 to Ivec.length r.involved - 1 do
+      replay_mem_writes r fired_mw (Ivec.get r.involved i)
+    done;
     Ivec.clear r.involved
   end;
   if r.tracing then Obs.Trace.span_end "nba_commit" t0;
@@ -1087,7 +1175,7 @@ let create ~config ?probe ?capture ?goodtrace (inst : instance)
         };
       replay_write = (fun id v -> write_good r id v);
       cur_pid = -1;
-      fault_nba = [];
+      fault_nba = log_create ();
       fault_mem_writes = Array.make nfaults [];
       rows =
         Array.map
@@ -1128,8 +1216,7 @@ let create ~config ?probe ?capture ?goodtrace (inst : instance)
       involved = Ivec.create ~capacity:16 ();
       istamp = Array.make nfaults 0;
       round_no = 0;
-      preserved = [];
-      preserved_mem = [];
+      preserved = log_create ();
       fired_seus = Ivec.create ~capacity:16 ();
       spare_seus = Ivec.create ~capacity:16 ();
       retired = 0;
@@ -1142,7 +1229,11 @@ let create ~config ?probe ?capture ?goodtrace (inst : instance)
 let start r =
   (match r.gx with
   | Grep ({ Goodtrace.trace; start }, _) when start > 0 ->
-      State.blit ~src:(Goodtrace.snapshot_at trace start) ~dst:r.st
+      let t0 =
+        if r.tracing then Obs.Trace.span_begin "snapshot_restore" else 0
+      in
+      State.blit ~src:(Goodtrace.snapshot_at trace start) ~dst:r.st;
+      if r.tracing then Obs.Trace.span_end "snapshot_restore" t0
   | Gcold | Gcap _ | Grep _ -> ());
   Array.iter
     (fun (f : Fault.t) ->
@@ -1236,7 +1327,8 @@ let step r =
   let continue = ref true in
   while !continue do
     incr rounds;
-    if !rounds > 16 then failwith "concurrent: clock cascade did not settle";
+    if !rounds > 16 then
+      raise (Simulator.Unstable "clock edge cascade did not settle");
     r.round_no <- r.round_no + 1;
     let fired = edge_detect r in
     if fired = [] && Ivec.is_empty r.solo then continue := false

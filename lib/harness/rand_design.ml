@@ -99,6 +99,19 @@ let rec gen_mux_expr rng pool mems depth target =
   in
   Expr.Mux (gen_expr rng pool mems 1 (pick rng [| 1; 2 |]), arm (), arm ())
 
+(* 9-16 arms over a 4-bit scrutinee, as in the instruction decoders of the
+   CPU benchmarks, with one label repeated (its first arm wins) and
+   scrutinee values that match no label; each arm and the default is one
+   [assign ()]. *)
+let gen_decoder_case rng pool mems assign =
+  let n = 9 + Rng.int rng 8 in
+  let labels = Array.init 16 Fun.id in
+  Rng.shuffle rng labels;
+  let dup = 1 + Rng.int rng (n - 1) in
+  labels.(dup) <- labels.(Rng.int rng dup);
+  let arms = List.init n (fun i -> (Bits.of_int 4 labels.(i), assign ())) in
+  Stmt.Case (gen_expr rng pool mems 2 4, arms, assign ())
+
 (* Random body for an edge-triggered process owning [regs]; statements only
    write the owned registers (single-driver rule) and optionally a RAM. *)
 let rec gen_ff_stmt rng pool mems ram regs depth =
@@ -116,19 +129,7 @@ let rec gen_ff_stmt rng pool mems ram regs depth =
             gen_ff_stmt rng pool mems ram regs (depth - 1),
             if Rng.bool rng then gen_ff_stmt rng pool mems ram regs (depth - 1)
             else Stmt.Skip )
-    | 3 when Rng.int rng 3 = 0 ->
-        (* 9-16 arms over a 4-bit scrutinee, as in the instruction
-           decoders of the CPU benchmarks, with one label repeated (its
-           first arm wins) and scrutinee values that match no label *)
-        let n = 9 + Rng.int rng 8 in
-        let labels = Array.init 16 Fun.id in
-        Rng.shuffle rng labels;
-        let dup = 1 + Rng.int rng (n - 1) in
-        labels.(dup) <- labels.(Rng.int rng dup);
-        let arms =
-          List.init n (fun i -> (Bits.of_int 4 labels.(i), assign ()))
-        in
-        Stmt.Case (gen_expr rng pool mems 2 4, arms, assign ())
+    | 3 when Rng.int rng 3 = 0 -> gen_decoder_case rng pool mems assign
     | 3 ->
         let scrut_w = 2 in
         let arms =
@@ -156,7 +157,7 @@ let rec gen_ff_stmt rng pool mems ram regs depth =
 (* Control statement for a combinational process: blocking writes to the
    owned wires only. Defaults are emitted first by the caller, so partial
    assignment inside the control tree is fine (and later statements may read
-   the already-assigned targets). *)
+   the already-assigned targets, a case's scrutinee included). *)
 let rec gen_comb_stmt rng pool mems targets depth =
   let assign () =
     let t, w = pick rng targets in
@@ -171,6 +172,7 @@ let rec gen_comb_stmt rng pool mems targets depth =
           ( gen_expr rng pool mems 2 (pick rng [| 1; 2 |]),
             gen_comb_stmt rng pool mems targets (depth - 1),
             gen_comb_stmt rng pool mems targets (depth - 1) )
+    | 3 when Rng.int rng 3 = 0 -> gen_decoder_case rng pool mems assign
     | _ ->
         Stmt.Block
           [

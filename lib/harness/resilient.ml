@@ -299,6 +299,7 @@ type journal_in = {
 }
 
 let append_record ?chaos_batch oc json =
+  Obs.Trace.with_span "journal_append" @@ fun () ->
   let line = Jsonl.to_string json in
   let torn =
     match chaos_batch with
@@ -767,9 +768,12 @@ let quarantine_event b ids =
   retry_event b "quarantine" [ ("ids", ids_json ids) ]
 
 (* Errors supervision must never swallow: structured campaign failures,
-   the chaos harness's simulated crash, and pool teardown. *)
+   the chaos harness's simulated crash, pool teardown, and a design that
+   does not settle, which fails the same way on every retry. *)
 let fatal = function
-  | Campaign_error _ | Chaos.Killed _ | Pool.Shutdown -> true
+  | Campaign_error _ | Chaos.Killed _ | Pool.Shutdown | Sim.Simulator.Unstable _
+    ->
+      true
   | _ -> false
 
 (* Per-fault quarantine, the supervisor's last resort once halving and

@@ -32,7 +32,9 @@
       counts as a divergence too. [quarantine = false] turns a divergence
       into the fatal [Engine_divergence] error instead.
     - {b Supervision} ([supervise = true]): a batch task that raises a
-      non-fatal exception marks only that batch as failed — the worker's
+      non-fatal exception marks only that batch as failed (fatal: the
+      structured campaign errors, a chaos kill, pool shutdown and
+      [Sim.Simulator.Unstable], a design that never settles) — the worker's
       engine instance is discarded and rebuilt, and the batch is
       re-dispatched up to [max_retries] times. A batch that still trips its
       budget after halving bottoms out in {e per-fault quarantine}: each

@@ -226,8 +226,14 @@ let design_state d vals mems =
    redundant, executing the faulty copy writes exactly the good values —
    for comb bodies (blocking writes, local-write tracking) and
    edge-triggered ones alike *)
+let rec has_case = function
+  | Stmt.Case _ -> true
+  | Stmt.Block l -> List.exists has_case l
+  | Stmt.If (_, a, b) -> has_case a || has_case b
+  | _ -> false
+
 let test_walk_soundness_random () =
-  let checked = ref 0 and checked_comb = ref 0 in
+  let checked = ref 0 and checked_comb = ref 0 and checked_comb_case = ref 0 in
   for seed = 1 to 40 do
     let s = Harness.Rand_design.generate ~seed:(Int64.of_int (9000 + seed)) () in
     let d = s.Harness.Rand_design.design in
@@ -270,7 +276,10 @@ let test_walk_soundness_random () =
           in
           if redundant then begin
             incr checked;
-            if p.trigger = Design.Comb then incr checked_comb;
+            if p.trigger = Design.Comb then begin
+              incr checked_comb;
+              if has_case p.body then incr checked_comb_case
+            end;
             if glog <> exec_fault b (fresh fvals) then
               Alcotest.failf
                 "seed %d proc %s: walk said redundant but writes differ" seed
@@ -287,7 +296,9 @@ let test_walk_soundness_random () =
   done;
   check bool_t "some redundant cases exercised" true (!checked > 20);
   check bool_t "some comb-body redundant cases exercised" true
-    (!checked_comb > 10)
+    (!checked_comb > 10);
+  check bool_t "some of them in a comb body with a case" true
+    (!checked_comb_case > 0)
 
 (* The compiled CFG executor, the bytecode interpreter and the kernel
    perform the same writes in the same order, on the behavioral bodies of

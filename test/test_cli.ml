@@ -91,6 +91,15 @@ let ck_design =
   "module t(ck, d, q);\n  input ck;\n  input d;\n  output q;\n  reg r;\n\
   \  always @(posedge ck) r <= d;\n  assign q = r;\nendmodule\n"
 
+(* Each edge of [a] or [b] raises the other's clock: with [en] high the
+   two registers toggle each other without end. *)
+let osc_design =
+  "module osc(en, qa, qb); input en; output qa; output qb; reg a; reg b;\n\
+  \  wire x; wire y;\n\
+  \  assign x = en & ~(a ^ b); assign y = en & (a ^ b);\n\
+  \  assign qa = a; assign qb = b;\n\
+  \  always @(posedge x) a <= ~a; always @(posedge y) b <= ~b;\nendmodule\n"
+
 (* An output path that cannot be written fails with exit 6 before any
    work: stdout carries no coverage line. *)
 let early_output_case args =
@@ -189,4 +198,8 @@ let suite =
     case [ "chaos"; "-c"; "alu"; "--scale"; "0.05"; "--rate"; "nan" ] 6;
     case [ "chaos"; "-c"; "alu"; "--scale"; "0.05"; "--rate=-0.5" ] 6;
     case [ "faults"; "-c"; "alu"; "--scale"; "0.05"; "-n-3" ] 6;
+    (* clock edges that keep re-firing within one time slot *)
+    verilog_case "with an oscillating clock cascade" osc_design
+      [ "--clock"; "en"; "--cycles"; "10"; "--max-faults"; "4" ]
+      6;
   ]

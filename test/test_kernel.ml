@@ -425,6 +425,35 @@ let test_bodies_no_allocation () =
     (Array.exists (Array.exists (fun c -> c >= 2)) records);
   check Alcotest.bool "some walk skipped a copy" true (!redundant > 0)
 
+(* The NBA commit of a whole engine run: each executed fault copy of one
+   of sha256_c2v's single-register processes stores and preserves one
+   value, into the run's append logs. Two cold runs with the same faults,
+   50 and 100 cycles, on one instance: the minor words the later 50 cycles
+   add, per fault copy they execute, stay under a bound that covers the
+   boxed diff updates of the commit and the settle around each copy (about
+   19 words), but not a consed list entry per store (about 10 more). *)
+let test_commit_words_per_copy () =
+  let _, g, w, faults =
+    Circuits.Bench_circuit.instantiate (Circuits.find "sha256_c2v") ~scale:0.06
+  in
+  let inst = Engine.Concurrent.instance g in
+  let run cycles =
+    let w = { w with Faultsim.Workload.cycles } in
+    let w0 = Gc.minor_words () in
+    let r = Engine.Concurrent.run ~instance:inst g w faults in
+    (Gc.minor_words () -. w0, r.Faultsim.Fault.stats.Faultsim.Stats.bn_fault_exec)
+  in
+  ignore (run 50);
+  let words50, exec50 = run 50 in
+  let words100, exec100 = run 100 in
+  let copies = exec100 - exec50 in
+  check Alcotest.bool "the later cycles execute fault copies" true
+    (copies > 5_000);
+  let per_copy = (words100 -. words50) /. float_of_int copies in
+  if per_copy > 24. then
+    Alcotest.failf "%.1f minor words per executed fault copy (%d copies)"
+      per_copy copies
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck;
@@ -432,4 +461,6 @@ let suite =
       test_no_allocation;
     Alcotest.test_case "no allocation in riscv_mini's bodies" `Quick
       test_bodies_no_allocation;
+    Alcotest.test_case "NBA commit: bounded words per fault copy" `Quick
+      test_commit_words_per_copy;
   ]

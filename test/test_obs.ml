@@ -339,6 +339,37 @@ let test_runner_phase_spans () =
             (List.length (List.filter (String.equal span) names)))
         [ "capture"; "plan"; "journal_replay"; "merge" ])
 
+(* The two spans below a batch: a warm start from a mid snapshot records
+   one [snapshot_restore], and every journal line is one [journal_append]. *)
+let test_restore_and_append_spans () =
+  fresh ();
+  let module R = Harness.Resilient in
+  let _, g, w, faults =
+    Circuits.Bench_circuit.instantiate (Circuits.find "alu") ~scale:0.05
+  in
+  let trace = Engine.Concurrent.capture ~snapshot_every:4 g w in
+  let start = Sim.Goodtrace.start_for trace ~activation:8 in
+  check int_t "cycle 8 is a snapshot" 8 start;
+  let journal = Filename.temp_file "eraser_test_obs" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.disable ();
+      try Sys.remove journal with Sys_error _ -> ())
+    (fun () ->
+      Obs.Trace.enable ~capacity:4096 ();
+      ignore
+        (Engine.Concurrent.run ~goodtrace:{ Sim.Goodtrace.trace; start } g w
+           [||]);
+      let config = { R.default_config with R.journal = Some journal } in
+      ignore (R.run ~config g w faults);
+      Obs.Trace.disable ();
+      let names = List.map (J.get_string "name") (parse_trace ()) in
+      let count span = List.length (List.filter (String.equal span) names) in
+      check int_t "one snapshot restore" 1 (count "snapshot_restore");
+      check int_t "one append per journal line"
+        (List.length (J.read_journal journal).J.complete)
+        (count "journal_append"))
+
 (* A domain's ring outlives it only as a free ring for the next domain:
    repeated traced pools keep at most one ring per domain alive at once
    (the caller's and two workers'), not one per domain ever spawned. *)
@@ -374,6 +405,8 @@ let suite =
       test_engine_convergence_counters;
     Alcotest.test_case "runner phases record one span each" `Quick
       test_runner_phase_spans;
+    Alcotest.test_case "snapshot restore and journal append spans" `Quick
+      test_restore_and_append_spans;
     Alcotest.test_case "trace rings reused across pools" `Quick
       test_rings_reused_across_pools;
   ]

@@ -703,6 +703,27 @@ let test_jsonl_roundtrip () =
       | exception H.Jsonl.Parse_error _ -> ())
     [ "{\"a\":1"; "[1,2,"; "{\"a\" 1}"; "tru"; "\"unterminated"; "1 2" ]
 
+(* A design whose clock edges oscillate fails every retry the same way:
+   supervision lets [Sim.Simulator.Unstable] through instead of
+   restarting and quarantining every batch. *)
+let test_unstable_design_not_retried () =
+  let d =
+    Rtlir.Verilog_parser.parse
+      "module osc(en, q); input en; output q; reg a; reg b; wire x; wire y;\n\
+      \  assign x = en & ~(a ^ b); assign y = en & (a ^ b); assign q = a;\n\
+      \  always @(posedge x) a <= ~a; always @(posedge y) b <= ~b;\n\
+       endmodule\n"
+  in
+  let g = Rtlir.Elaborate.build d in
+  let w =
+    Circuits.Bench_circuit.random_workload ~clock:"en" ~seed:1L d ~cycles:10
+  in
+  let faults = Faultsim.Fault.generate ~max_faults:4 ~seed:1L d in
+  let config = { R.default_config with R.supervise = true; batch_size = 2 } in
+  match R.run ~config g w faults with
+  | _ -> Alcotest.fail "an oscillating design completed"
+  | exception Sim.Simulator.Unstable _ -> ()
+
 let suite =
   [
     Alcotest.test_case "batched == monolithic verdicts" `Quick
@@ -758,4 +779,6 @@ let suite =
       test_clock_in_drive_rejected;
     Alcotest.test_case "jsonl roundtrip and error cases" `Quick
       test_jsonl_roundtrip;
+    Alcotest.test_case "supervision does not retry an unstable design" `Quick
+      test_unstable_design_not_retried;
   ]
