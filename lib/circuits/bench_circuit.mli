@@ -17,15 +17,10 @@ type t = {
   workload : Design.t -> cycles:int -> Workload.t;
 }
 
-(** Cycle and fault budgets scaled from the paper's values (at least 50
-    cycles / 20 faults). Raise [Workload.Invalid_workload] when the scaled
-    count does not fit in an [int] (including a NaN [scale]). *)
-val cycles_of : t -> scale:float -> int
-
-val faults_of : t -> scale:float -> int
-
-(** Build design + graph + workload + fault list in one go. Raises
-    [Workload.Invalid_workload] as {!cycles_of} does. *)
+(** Build design + graph + workload + fault list in one go, with cycle and
+    fault budgets scaled from the paper's values (at least 50 cycles / 20
+    faults). Raises [Workload.Invalid_workload] when a scaled count does
+    not fit in an [int] (including a NaN [scale]). *)
 val instantiate :
   t -> scale:float -> Design.t * Elaborate.t * Workload.t * Fault.t array
 

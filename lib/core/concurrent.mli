@@ -105,14 +105,10 @@ val run :
   Fault.t array ->
   Fault.result
 
-(** The snapshot interval every campaign capture uses,
-    [max 8 (cycles / 16)]. *)
-val default_snapshot_every : cycles:int -> int
-
 (** [capture g w] runs the good network once — no faults — and records
     every good event (inputs, assign results, behavioral writes and branch
     choices), the per-cycle output vectors, and full {!Sim.State} snapshots
-    every {!default_snapshot_every} cycles plus one at the end of the
+    every [max 8 (cycles / 16)] cycles plus one at the end of the
     workload. [?snapshot_every] overrides the interval; it is a test hook
     only (campaigns always use the default). The returned trace is
     immutable and safe to share read-only across worker domains; one

@@ -14,11 +14,6 @@ let push v x =
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 
-let pop v =
-  if v.len = 0 then invalid_arg "Ivec.pop: empty";
-  v.len <- v.len - 1;
-  v.data.(v.len)
-
 let get v i =
   if i < 0 || i >= v.len then invalid_arg "Ivec.get: index out of bounds";
   v.data.(i)

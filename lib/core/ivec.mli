@@ -1,9 +1,8 @@
 (** Growable int vector.
 
-    The concurrent engine's per-node fault sets and the harness's
-    work-stealing deques both need a compact, allocation-light stack of
-    ints; this is the one shared implementation. Not thread-safe — every
-    instance must be confined to one domain (or externally locked). *)
+    The concurrent engine's compact, allocation-light int collections
+    (per-node fault sets, fault-id lists). Not thread-safe — every instance
+    must be confined to one domain (or externally locked). *)
 
 type t
 
@@ -19,10 +18,6 @@ val clear : t -> unit
 
 (** Append, doubling the backing array when full. *)
 val push : t -> int -> unit
-
-(** Remove and return the last element; raises [Invalid_argument] when
-    empty. *)
-val pop : t -> int
 
 (** [get v i] — [i] must be within [0, length v). *)
 val get : t -> int -> int

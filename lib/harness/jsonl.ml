@@ -13,21 +13,6 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
 (* ---- printing ---- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -38,7 +23,7 @@ let rec write buf = function
       else Buffer.add_string buf (Printf.sprintf "%.17g" f)
   | String s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      Buffer.add_string buf (Obs.Json.escape s);
       Buffer.add_char buf '"'
   | List l ->
       Buffer.add_char buf '[';
@@ -54,7 +39,7 @@ let rec write buf = function
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          Buffer.add_string buf (Obs.Json.escape k);
           Buffer.add_string buf "\":";
           write buf v)
         fields;

@@ -1118,11 +1118,18 @@ let rec supervise r ~start i events obtain attempt =
    the long pole starts before the workers fill up with short batches;
    outcomes are obtained — and therefore journaled and merged — in
    batch-index order, whatever the start order. Where a task runs is the
-   only thing [jobs] decides: at [jobs = 1] it runs inline on the calling
-   domain when it is obtained (a spawned domain ran the same campaign
-   measurably slower, see DESIGN.md §9); above that it is submitted to a
-   pool of [jobs] worker domains. *)
+   only thing the width decides, and the width is [jobs] capped at the
+   number of pending batches: at width 1 (or 0, a fully resumed campaign)
+   it runs inline on the calling domain when it is obtained (a spawned
+   domain ran the same campaign measurably slower, see DESIGN.md §9);
+   above that it is submitted to a pool of that many worker domains. *)
 let execute r =
+  let width =
+    min r.cfg.jobs
+      (Array.fold_left
+         (fun n o -> if Option.is_none o then n + 1 else n)
+         0 r.outcomes)
+  in
   let loop start =
     let order = Array.init (Array.length r.ids) Fun.id in
     let cost i = r.plan.Schedule.sp_batches.(i).Schedule.sb_cost in
@@ -1140,17 +1147,16 @@ let execute r =
             supervise r ~start i events obtain 0))
       started
   in
-  if r.cfg.jobs = 1 then
+  if width <= 1 then
     loop (fun events i () ->
         match task r ~worker:0 ~events i with
         | b -> Ok b
         | exception e -> Error (e, Printexc.get_raw_backtrace ()))
   else
-    Pool.with_pool ~jobs:r.cfg.jobs (fun pool ->
+    Pool.with_pool ~jobs:width (fun pool ->
         loop (fun events i ->
             let fut =
-              Pool.submit pool (fun ctx ->
-                  task r ~worker:ctx.Pool.worker ~events i)
+              Pool.submit pool (fun worker -> task r ~worker ~events i)
             in
             fun () -> Pool.await_result fut))
 

@@ -99,9 +99,10 @@ type config = {
       (** worker domains, from 1 to the runtime's domain limit minus the
           calling domain (127 on 64-bit). Every [jobs] value runs the same
           dispatch-and-supervise loop; only where a batch task runs
-          differs: at [jobs = 1] inline on the calling domain, above that
-          on a {!Pool} of [jobs] domains, each owning an independent engine
-          instance. The coordinator journals and merges outcomes in
+          differs. The pool is [jobs] wide, capped at the number of
+          pending batches: at width 1 a task runs inline on the calling
+          domain, above that on a {!Pool} of that many domains, each
+          owning an independent engine instance. The coordinator journals and merges outcomes in
           batch-index order, so the final report is byte-identical for any
           [jobs] (and a journal written at one [jobs] resumes at
           another). *)

@@ -110,20 +110,6 @@ let histogram_stats name =
 
 (* ---- export ---- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let float_json v =
   if not (Float.is_finite v) then "null"
   else if Float.is_integer v && Float.abs v < 1e15 then
@@ -144,7 +130,7 @@ let to_json_string () =
   List.iteri
     (fun i (name, m) ->
       if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "\"%s\":" (escape name);
+      Printf.bprintf buf "\"%s\":" (Json.escape name);
       match m with
       | Counter c ->
           Printf.bprintf buf "{\"type\":\"counter\",\"value\":%d}" c.c_value

@@ -157,20 +157,6 @@ let event_count () =
     (fun acc r -> acc + min r.r_next (Array.length r.r_events))
     0 rs
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_chrome_string () =
   let pid = Unix.getpid () in
   let buf = Buffer.create 4096 in
@@ -182,11 +168,11 @@ let to_chrome_string () =
       | Span ->
           Printf.bprintf buf
             "{\"name\":\"%s\",\"cat\":\"eraser\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":%d}"
-            (escape name) ts dur pid tid
+            (Json.escape name) ts dur pid tid
       | Counter ->
           Printf.bprintf buf
             "{\"name\":\"%s\",\"cat\":\"eraser\",\"ph\":\"C\",\"ts\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"value\":%s}}"
-            (escape name) ts pid tid
+            (Json.escape name) ts pid tid
             (if not (Float.is_finite value) then "null"
              else if Float.is_integer value && Float.abs value < 1e15 then
                Printf.sprintf "%.1f" value
@@ -194,7 +180,7 @@ let to_chrome_string () =
       | Instant ->
           Printf.bprintf buf
             "{\"name\":\"%s\",\"cat\":\"eraser\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%d,\"pid\":%d,\"tid\":%d}"
-            (escape name) ts pid tid))
+            (Json.escape name) ts pid tid))
     (snapshot ());
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
   Buffer.contents buf

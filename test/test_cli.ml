@@ -126,6 +126,44 @@ let early_output_case args =
               (String.split_on_char '\n' text)
           in
           Alcotest.(check bool) "no coverage line" false ran))
+
+(* The pool is never wider than the pending work: alu at scale 0.02 has 23
+   faults, so [--batch 64] is one batch and [-j 4] runs it inline (no
+   [pool.task] span) with the verdicts of [-j 1], while [--batch 8] (three
+   batches) does start a pool. *)
+let pool_width_case =
+  Alcotest.test_case "campaign -j 4 with one batch starts no pool" `Quick
+    (fun () ->
+      let tmp () = Filename.temp_file "eraser_width" ".json" in
+      let one = tmp () and three = tmp () and v4 = tmp () and v1 = tmp () in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sys.remove [ one; three; v4; v1 ])
+        (fun () ->
+          let campaign batch jobs extra =
+            Alcotest.(check int)
+              (Printf.sprintf "exit code --batch %s -j %s" batch jobs)
+              0
+              (exit_code
+                 ([ "campaign"; "-c"; "alu"; "--scale"; "0.02" ]
+                 @ [ "--batch"; batch; "-j"; jobs ] @ extra))
+          in
+          let read f = In_channel.with_open_bin f In_channel.input_all in
+          let pool_tasks trace =
+            let module J = Harness.Jsonl in
+            match J.member "traceEvents" (J.parse (read trace)) with
+            | Some (J.List l) ->
+                List.length
+                  (List.filter (fun e -> J.get_string "name" e = "pool.task") l)
+            | _ -> Alcotest.fail "no traceEvents"
+          in
+          campaign "64" "4" [ "--trace"; one; "--verdicts"; v4 ];
+          campaign "64" "1" [ "--verdicts"; v1 ];
+          campaign "8" "4" [ "--trace"; three ];
+          Alcotest.(check int) "one batch: no pool task" 0 (pool_tasks one);
+          Alcotest.(check int) "three batches: three pool tasks" 3
+            (pool_tasks three);
+          Alcotest.(check string) "verdicts equal -j 1's" (read v1) (read v4)))
+
 let alu = [ "campaign"; "-c"; "alu"; "--scale"; "0.05" ]
 
 let suite =
@@ -202,4 +240,5 @@ let suite =
     verilog_case "with an oscillating clock cascade" osc_design
       [ "--clock"; "en"; "--cycles"; "10"; "--max-faults"; "4" ]
       6;
+    pool_width_case;
   ]

@@ -1,6 +1,5 @@
-(* Unit tests for the shared growable int vector (lib/core/ivec.ml), the
-   backing store of the engine's per-node fault sets and the pool's
-   work-stealing deques. *)
+(* Unit tests for the growable int vector (lib/core/ivec.ml), the backing
+   store of the engine's per-node fault sets. *)
 open Engine
 
 let check = Alcotest.check
@@ -16,8 +15,6 @@ let test_basics () =
   check int_t "length" 2 (Ivec.length v);
   check int_t "get 0" 7 (Ivec.get v 0);
   check int_t "get 1" 11 (Ivec.get v 1);
-  check int_t "pop returns last" 11 (Ivec.pop v);
-  check int_t "length after pop" 1 (Ivec.length v);
   Ivec.clear v;
   check Alcotest.bool "cleared" true (Ivec.is_empty v)
 
@@ -31,11 +28,7 @@ let test_growth () =
   for i = 0 to 9999 do
     if Ivec.get v i <> i * 3 then
       Alcotest.failf "element %d corrupted by growth" i
-  done;
-  for i = 9999 downto 0 do
-    if Ivec.pop v <> i * 3 then Alcotest.failf "pop %d wrong" i
-  done;
-  check Alcotest.bool "drained" true (Ivec.is_empty v)
+  done
 
 let test_iter_order () =
   let v = Ivec.create ~capacity:2 () in
@@ -55,9 +48,9 @@ let test_clear_reuse () =
 
 let test_errors () =
   let v = Ivec.create () in
-  (match Ivec.pop v with
+  (match Ivec.get v 0 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "pop of empty accepted");
+  | _ -> Alcotest.fail "get of empty accepted");
   Ivec.push v 1;
   (match Ivec.get v 1 with
   | exception Invalid_argument _ -> ()
@@ -68,7 +61,7 @@ let test_errors () =
 
 let suite =
   [
-    Alcotest.test_case "push/pop/get/clear" `Quick test_basics;
+    Alcotest.test_case "push/get/clear" `Quick test_basics;
     Alcotest.test_case "growth keeps contents" `Quick test_growth;
     Alcotest.test_case "iteration order" `Quick test_iter_order;
     Alcotest.test_case "clear then reuse" `Quick test_clear_reuse;

@@ -1,7 +1,7 @@
-(* Work-stealing domain pool and fault-partition parallelism: submission
-   ordering, exception propagation, discard-on-shutdown, per-partition RNG
-   splitting, and the determinism guarantee — identical verdicts and
-   byte-identical resilient reports for any --jobs. *)
+(* FIFO domain pool and fault-partition parallelism: submission and start
+   ordering, exception propagation, discard-on-shutdown, Rng.split streams,
+   and the determinism guarantee — identical verdicts and byte-identical
+   resilient reports for any --jobs. *)
 open Faultsim
 module H = Harness
 module Pool = Harness.Pool
@@ -18,11 +18,11 @@ let test_ordering () =
     Pool.with_pool ~jobs:3 (fun pool ->
         let futures =
           List.init 50 (fun i ->
-              Pool.submit pool (fun (ctx : Pool.ctx) ->
-                  (* stagger completions so steal order differs from
+              Pool.submit pool (fun worker ->
+                  (* stagger completions so completion order differs from
                      submission order *)
                   if i mod 7 = 0 then Unix.sleepf 0.002;
-                  (ctx.Pool.worker, i * i)))
+                  (worker, i * i)))
         in
         List.map Pool.await futures)
   in
@@ -45,10 +45,11 @@ let test_exception_propagation () =
   | _ -> Alcotest.fail "task exception was swallowed"
   | exception Failure m -> check Alcotest.string "original exception" "boom42" m
 
-let test_discard_on_shutdown () =
+(* Block the only worker of a [jobs:1] pool: returns the running task's
+   future once it has started, and the flag that lets it return 42. *)
+let occupy pool =
   let started = Atomic.make false in
   let release = Atomic.make false in
-  let pool = Pool.create ~jobs:1 () in
   let running =
     Pool.submit pool (fun _ ->
         Atomic.set started true;
@@ -60,67 +61,61 @@ let test_discard_on_shutdown () =
   while not (Atomic.get started) do
     Domain.cpu_relax ()
   done;
-  (* the only worker is busy, so this stays queued *)
-  let queued = Pool.submit pool (fun _ -> 7) in
-  let closer = Domain.spawn (fun () -> Pool.shutdown ~discard:true pool) in
-  (* the discard completes the queued future with Shutdown while the
-     running task is still spinning — await must wake up, not hang *)
-  (match Pool.await queued with
-  | exception Pool.Shutdown -> ()
-  | v -> Alcotest.failf "discarded task ran anyway (returned %d)" v);
-  Atomic.set release true;
-  Domain.join closer;
-  check int_t "running task still completed" 42 (Pool.await running);
-  match Pool.submit pool (fun _ -> 0) with
+  (running, release)
+
+let test_discard_on_shutdown () =
+  let closed = ref None and running = ref None and waiter = ref None in
+  (match
+     Pool.with_pool ~jobs:1 (fun pool ->
+         closed := Some pool;
+         let fut, release = occupy pool in
+         running := Some fut;
+         (* the only worker is busy, so this stays queued *)
+         let queued = Pool.submit pool (fun _ -> 7) in
+         (* the discard must complete the queued future while the running
+            task still spins: only then is it released, so a discard that
+            waited for the running task would hang here *)
+         waiter :=
+           Some
+             (Domain.spawn (fun () ->
+                  let r = Pool.await_result queued in
+                  Atomic.set release true;
+                  r));
+         raise Exit)
+   with
+  | () -> Alcotest.fail "with_pool swallowed the exception"
+  | exception Exit -> ());
+  (match Domain.join (Option.get !waiter) with
+  | Error (Pool.Shutdown, _) -> ()
+  | Error (e, _) -> raise e
+  | Ok v -> Alcotest.failf "discarded task ran anyway (returned %d)" v);
+  check int_t "running task still completed" 42
+    (Pool.await (Option.get !running));
+  match Pool.submit (Option.get !closed) (fun _ -> 0) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "submit after shutdown accepted"
 
-let test_cancel_completion_race () =
-  (* Stress the cancel/worker-completion race: many short tasks, with the
-     coordinator racing [cancel] against the workers finishing them. The
-     future's state transition is atomic under its lock, so exactly one
-     side wins: [cancel] returning true guarantees [await] raises
-     [Shutdown], and returning false guarantees the task's own outcome is
-     preserved. Nothing may hang either way. *)
-  let rounds = 20 and per_round = 64 in
-  for round = 0 to rounds - 1 do
-    Pool.with_pool ~jobs:4 (fun pool ->
-        let ran = Array.make per_round false in
+(* One worker, busy: tasks queued behind it start in submission order, so a
+   caller that submits its costliest batch first has it started first. *)
+let test_start_order () =
+  let order =
+    Pool.with_pool ~jobs:1 (fun pool ->
+        let running, release = occupy pool in
+        let seen = Atomic.make [] in
+        let rec record i =
+          let l = Atomic.get seen in
+          if not (Atomic.compare_and_set seen l (i :: l)) then record i
+        in
         let futures =
-          Array.init per_round (fun i ->
-              Pool.submit pool (fun _ ->
-                  if i land 3 = 0 then Domain.cpu_relax ();
-                  ran.(i) <- true;
-                  i))
+          List.init 8 (fun i -> Pool.submit pool (fun _ -> record (i + 1)))
         in
-        let cancelled =
-          (* vary the contention window across rounds *)
-          Array.mapi
-            (fun i fut ->
-              if (i + round) land 1 = 0 then Pool.cancel fut else false)
-            futures
-        in
-        Array.iteri
-          (fun i fut ->
-            match Pool.await_result fut with
-            | Ok v ->
-                check int_t "completed task kept its result" i v;
-                if cancelled.(i) then
-                  Alcotest.failf "task %d: cancel won but await returned Ok" i
-            | Error (Pool.Shutdown, _) ->
-                if not cancelled.(i) then
-                  Alcotest.failf
-                    "task %d: cancel lost but await raised Shutdown" i
-            | Error (e, _) -> raise e)
-          futures;
-        (* a task whose cancel won before a worker claimed it never runs;
-           one that lost must have run to completion *)
-        Array.iteri
-          (fun i c ->
-            if (not c) && not ran.(i) then
-              Alcotest.failf "task %d: not cancelled yet never ran" i)
-          cancelled)
-  done
+        Atomic.set release true;
+        ignore (Pool.await running);
+        List.iter Pool.await futures;
+        List.rev (Atomic.get seen))
+  in
+  check (Alcotest.list int_t) "tasks start in submission order"
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ] order
 
 (* --- Rng.split --- *)
 
@@ -287,8 +282,6 @@ let suite =
     Alcotest.test_case "futures keep submission order" `Quick test_ordering;
     Alcotest.test_case "exceptions propagate" `Quick test_exception_propagation;
     Alcotest.test_case "discard on shutdown" `Quick test_discard_on_shutdown;
-    Alcotest.test_case "cancel vs completion race" `Quick
-      test_cancel_completion_race;
     Alcotest.test_case "Rng.split is deterministic" `Quick
       test_split_deterministic;
     Alcotest.test_case "Rng.split streams look independent" `Quick
@@ -302,4 +295,6 @@ let suite =
     Alcotest.test_case "watchdog aborts a parallel campaign cleanly" `Quick
       test_parallel_watchdog;
     Alcotest.test_case "jobs validation" `Quick test_jobs_validation;
+    Alcotest.test_case "tasks start in submission order" `Quick
+      test_start_order;
   ]
