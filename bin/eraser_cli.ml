@@ -154,17 +154,13 @@ let with_obs ~trace ~metrics f =
   (match trace with
   | Some path ->
       Obs.Trace.disable ();
-      let oc = open_out path in
-      Obs.Trace.export_chrome oc;
-      close_out oc;
+      H.Resilient.write_atomic path Obs.Trace.export_chrome;
       Format.printf "  trace      %s@." path
   | None -> ());
   (match metrics with
   | Some path ->
       Obs.Metrics.disable ();
-      let oc = open_out path in
-      Obs.Metrics.export_json oc;
-      close_out oc;
+      H.Resilient.write_atomic path Obs.Metrics.export_json;
       Format.printf "  metrics    %s@." path
   | None -> ());
   code
@@ -293,13 +289,12 @@ let run_cmd =
     | None -> Format.printf "  adjusted   n/a (no testable faults)@.");
     (match json with
     | Some path ->
-        let oc = open_out path in
-        let ppf = Format.formatter_of_out_channel oc in
-        H.Json_report.campaign ppf ~design
-          ~engine:(H.Campaign.engine_name engine)
-          ~faults ~verdicts r;
-        Format.pp_print_flush ppf ();
-        close_out oc;
+        H.Resilient.write_atomic path (fun oc ->
+            let ppf = Format.formatter_of_out_channel oc in
+            H.Json_report.campaign ppf ~design
+              ~engine:(H.Campaign.engine_name engine)
+              ~faults ~verdicts r;
+            Format.pp_print_flush ppf ());
         Format.printf "  json       %s@." path
     | None -> ());
     if verify then begin
@@ -993,9 +988,7 @@ let export_cmd =
     (match output with
     | None -> print_string text
     | Some path ->
-        let oc = open_out path in
-        output_string oc text;
-        close_out oc;
+        H.Resilient.write_atomic path (fun oc -> output_string oc text);
         Format.printf "wrote %s@." path);
     0
   in

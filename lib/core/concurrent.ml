@@ -1438,19 +1438,11 @@ let run ?config ?probe ?goodtrace ?instance:existing ?ids g w faults =
   in
   execute ?config ?probe ?goodtrace inst w faults
 
-let default_snapshot_every ~cycles = max 8 (cycles / 16)
-
-let capture ?config ?snapshot_every ?instance:existing (g : Elaborate.t)
-    (w : Workload.t) =
+let capture ?config ?instance:existing (g : Elaborate.t) (w : Workload.t) =
   let inst = match existing with Some i -> i | None -> instance g in
-  let k =
-    match snapshot_every with
-    | Some k -> max 1 k
-    | None -> default_snapshot_every ~cycles:w.Workload.cycles
-  in
   let b =
     Goodtrace.builder ~cycles:w.Workload.cycles ~clock:w.Workload.clock
-      ~nout:(Array.length g.Elaborate.outputs) ~snapshot_every:k
+      ~nout:(Array.length g.Elaborate.outputs)
   in
   let (_ : Fault.result) = execute ?config ~capture:b inst w [||] in
   let t = Goodtrace.finish b in

@@ -107,16 +107,14 @@ val run :
 
 (** [capture g w] runs the good network once — no faults — and records
     every good event (inputs, assign results, behavioral writes and branch
-    choices), the per-cycle output vectors, and full {!Sim.State} snapshots
-    every [max 8 (cycles / 16)] cycles plus one at the end of the
-    workload. [?snapshot_every] overrides the interval; it is a test hook
-    only (campaigns always use the default). The returned trace is
-    immutable and safe to share read-only across worker domains; one
-    capture serves every subsequent warm-started batch of the same
-    (design, workload). *)
+    choices), the per-cycle output vectors, and one full {!Sim.State}
+    snapshot: the good state at the end of the workload. Mid-trace
+    snapshots are the schedule planner's to place
+    ({!Sim.Goodtrace.with_snapshots}). The returned trace is immutable and
+    safe to share read-only across worker domains; one capture serves
+    every subsequent warm-started batch of the same (design, workload). *)
 val capture :
   ?config:config ->
-  ?snapshot_every:int ->
   ?instance:instance ->
   Elaborate.t ->
   Workload.t ->

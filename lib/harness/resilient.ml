@@ -320,15 +320,21 @@ let append_record ?chaos_batch oc json =
 (* ---- crash-safe file writes ---- *)
 
 let write_atomic path f =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (try f oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
+  if Sys.file_exists path && not (Sys.is_regular_file path) then
+    (* a device or FIFO ([/dev/stdout], [/dev/null]) is written in place:
+       a rename over it would replace the device itself *)
+    Out_channel.with_open_text path f
+  else begin
+    let tmp = path ^ ".tmp" in
+    let oc = open_out tmp in
+    (try f oc
+     with e ->
+       close_out_noerr oc;
+       (try Sys.remove tmp with Sys_error _ -> ());
+       raise e);
+    close_out oc;
+    Sys.rename tmp path
+  end
 
 (* ---- the runner ---- *)
 

@@ -206,6 +206,8 @@ val run :
 
 (** [write_atomic path f] — crash-safe file write: [f] streams to
     [path ^ ".tmp"], which is renamed over [path] only after a clean close.
-    Used for the JSON reports so a killed campaign never leaves a torn
-    report behind. *)
+    Every file the CLI writes for the user goes through it, so a killed
+    run never leaves a torn report, trace or export behind. A [path] that
+    exists and is not a regular file (a device such as [/dev/stdout], or
+    a FIFO) is written in place instead. *)
 val write_atomic : string -> (out_channel -> unit) -> unit

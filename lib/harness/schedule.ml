@@ -46,13 +46,20 @@ let slice ~granularity order =
 let min_act acts ids =
   Array.fold_left (fun m id -> min m acts.(id)) max_int ids
 
-(* Adaptive snapshot placement: ask for each batch's exact earliest
-   activation boundary, under a budget of as many snapshots as the capture
-   already holds. Over budget, the closest adjacent pair merges into its
-   earlier member — batches that wanted the later point fall back to a
-   cycle still at or before their activation, so soundness is untouched
-   and only some skipped prefix is given back. *)
-let adapt_snapshots (design : Rtlir.Elaborate.t) trace slices acts =
+(* The snapshot budget: one snapshot per [max 8 (cycles / 16)] cycles,
+   rounded up, so snapshot memory is bounded by the workload length
+   alone. *)
+let snapshot_budget cycles =
+  let k = max 8 (cycles / 16) in
+  max 1 ((cycles + k - 1) / k)
+
+(* Snapshot placement: ask for each batch's exact earliest activation
+   boundary, under {!snapshot_budget}. Over budget, the closest adjacent
+   pair merges into its earlier member — batches that wanted the later
+   point fall back to a cycle still at or before their activation, so
+   soundness is untouched and only some skipped prefix is given back. When
+   no batch needs a snapshot, the capture's end snapshot stays alone. *)
+let place_snapshots (design : Rtlir.Elaborate.t) trace slices acts =
   let cycles = trace.Sim.Goodtrace.cycles in
   let desired =
     Array.to_list slices
@@ -63,7 +70,7 @@ let adapt_snapshots (design : Rtlir.Elaborate.t) trace slices acts =
              if a < 1 then None else Some a)
     |> List.sort_uniq compare
   in
-  let budget = max 1 (Array.length trace.Sim.Goodtrace.snapshots) in
+  let budget = snapshot_budget cycles in
   let rec trim l =
     let arr = Array.of_list l in
     let nl = Array.length arr in
@@ -134,11 +141,7 @@ let plan ~policy ~granularity ?warm
         sp_acts = None;
       }
   | Some wi ->
-      let trace =
-        if policy = Adaptive then
-          adapt_snapshots design wi.wi_trace slices wi.wi_acts
-        else wi.wi_trace
-      in
+      let trace = place_snapshots design wi.wi_trace slices wi.wi_acts in
       let ev_total = Array.length trace.Sim.Goodtrace.code in
       let batches =
         Array.mapi

@@ -16,21 +16,24 @@
     permutation partition of the fault set. The policy only trades how
     much redundant good-network prefix the engine gets to skip. *)
 
-(** How faults are grouped and warm-started. Campaigns do not choose:
-    warm runs plan [Adaptive], cold runs [Fixed].
+(** How faults are ordered into batches. Campaigns do not choose: warm
+    runs plan [Adaptive], cold runs [Fixed].
 
-    - [Fixed] — batches cut from ascending fault ids, snapshots on the
-      capture's fixed grid. On a cold run this reproduces the historical
-      contiguous-chunk decomposition byte-for-byte.
+    - [Fixed] — batches cut from ascending fault ids. On a cold run this
+      reproduces the historical contiguous-chunk decomposition
+      byte-for-byte.
     - [Adaptive] — faults sorted by activation window (ties by id) so
-      batches share dead prefixes, and the snapshot set itself
-      is replanned: each batch's exact earliest-activation boundary is
-      reconstructed post hoc ({!Sim.Goodtrace.with_snapshots}) under a
-      budget of at most as many snapshots as the capture already held, so
-      the skipped prefix is maximal at unchanged snapshot memory. Densely
-      clustered activation boundaries are merged (closest pair first,
-      keeping the earlier — hence still sound — cycle) until the budget
-      holds.
+      batches share dead prefixes.
+
+    The policy decides only the order. Every warm plan places its own
+    snapshots the same way: each batch's exact earliest-activation
+    boundary is reconstructed post hoc ({!Sim.Goodtrace.with_snapshots})
+    under a budget that depends only on the workload length —
+    [ceil (cycles / max 8 (cycles / 16))], at least 1. Densely clustered
+    activation boundaries are merged (closest pair first, keeping the
+    earlier — hence still sound — cycle) until the budget holds. When no
+    batch needs a snapshot, the plan keeps the capture's end snapshot
+    alone.
 
     Without a warm capture the plan degrades to [Fixed]. *)
 type policy = Fixed | Adaptive
@@ -65,9 +68,8 @@ type t = {
   sp_batches : batch array;
   sp_pruned : int array;  (** ascending pruned fault ids (empty when cold) *)
   sp_trace : Sim.Goodtrace.t option;
-      (** the trace consumers must replay from — under [Adaptive] this is
-          the re-snapshotted trace, not the one passed in via
-          [warm_input] *)
+      (** the trace consumers must replay from — the re-snapshotted
+          trace, not the one passed in via [warm_input] *)
   sp_acts : int array option;
       (** retained activation windows, so refinements of a batch can
           recompute their own warm starts via {!warm_for} *)

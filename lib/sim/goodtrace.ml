@@ -27,7 +27,6 @@ type t = {
   cycle_vals : int array;
   outputs : i64a;
   snapshots : (int * State.t) array;
-  snapshot_every : int;
   capture_bytes : int;
 }
 
@@ -46,7 +45,6 @@ type builder = {
   b_cycles : int;
   b_clock : int;
   b_nout : int;
-  b_k : int;
   mutable b_code : int array;
   mutable b_clen : int;
   mutable b_vals : int64 array;
@@ -54,20 +52,17 @@ type builder = {
   b_cycle_code : int array;
   b_cycle_vals : int array;
   b_outputs : i64a;
-  mutable b_snaps : (int * State.t) list;  (* descending; reversed at finish *)
+  mutable b_end : State.t option;  (* the good state at [b_cycles] *)
   mutable b_cycle : int;
   mutable b_init_done : bool;
 }
 
-let builder ~cycles ~clock ~nout ~snapshot_every =
+let builder ~cycles ~clock ~nout =
   if cycles < 0 then mismatch "negative cycle count %d" cycles;
-  if snapshot_every < 1 then
-    mismatch "snapshot interval must be positive, got %d" snapshot_every;
   {
     b_cycles = cycles;
     b_clock = clock;
     b_nout = nout;
-    b_k = snapshot_every;
     b_code = Array.make 1024 0;
     b_clen = 0;
     b_vals = Array.make 256 0L;
@@ -75,7 +70,7 @@ let builder ~cycles ~clock ~nout ~snapshot_every =
     b_cycle_code = Array.make (cycles + 1) 0;
     b_cycle_vals = Array.make (cycles + 1) 0;
     b_outputs = ba (cycles * nout);
-    b_snaps = [];
+    b_end = None;
     b_cycle = 0;
     b_init_done = false;
   }
@@ -157,11 +152,19 @@ let rec_cycle_done b ~outputs ~state =
   let c1 = c + 1 in
   b.b_cycle_code.(c1) <- b.b_clen;
   b.b_cycle_vals.(c1) <- b.b_vlen;
-  if c1 = b.b_cycles || c1 mod b.b_k = 0 then
-    b.b_snaps <- (c1, State.copy state) :: b.b_snaps;
+  if c1 = b.b_cycles then b.b_end <- Some (State.copy state);
   b.b_cycle <- c1
 
-let state_bytes (s : State.t) = 8 * (s.State.nsig + State.mem_words s)
+(* [t] with [capture_bytes] recomputed for its stream and snapshot set. *)
+let sized t =
+  let state_bytes (s : State.t) = 8 * (s.State.nsig + State.mem_words s) in
+  let capture_bytes =
+    (8
+    * (Array.length t.code + Bigarray.Array1.dim t.vals + (t.cycles * t.nout)))
+    + (16 * (t.cycles + 1))
+    + Array.fold_left (fun acc (_, s) -> acc + state_bytes s) 0 t.snapshots
+  in
+  { t with capture_bytes }
 
 let finish b =
   if not b.b_init_done then mismatch "capture never finished initialising";
@@ -172,25 +175,20 @@ let finish b =
   for i = 0 to b.b_vlen - 1 do
     Bigarray.Array1.set vals i b.b_vals.(i)
   done;
-  let snapshots = Array.of_list (List.rev b.b_snaps) in
-  let capture_bytes =
-    (8 * (b.b_clen + b.b_vlen + (b.b_cycles * b.b_nout)))
-    + (16 * (b.b_cycles + 1))
-    + Array.fold_left (fun acc (_, s) -> acc + state_bytes s) 0 snapshots
-  in
-  {
-    cycles = b.b_cycles;
-    clock = b.b_clock;
-    nout = b.b_nout;
-    code;
-    vals;
-    cycle_code = b.b_cycle_code;
-    cycle_vals = b.b_cycle_vals;
-    outputs = b.b_outputs;
-    snapshots;
-    snapshot_every = b.b_k;
-    capture_bytes;
-  }
+  sized
+    {
+      cycles = b.b_cycles;
+      clock = b.b_clock;
+      nout = b.b_nout;
+      code;
+      vals;
+      cycle_code = b.b_cycle_code;
+      cycle_vals = b.b_cycle_vals;
+      outputs = b.b_outputs;
+      snapshots =
+        (match b.b_end with Some s -> [| (b.b_cycles, s) |] | None -> [||]);
+      capture_bytes = 0;
+    }
 
 (* ---- replay ---- *)
 
@@ -315,103 +313,19 @@ let start_for t ~activation =
 
 type warm = { trace : t; start : int }
 
-(* ---- post-hoc snapshot placement ---- *)
-
-(* Apply every recorded state update in [code[!i, upto)] onto [st] —
-   signal writes AND ff memory writes. This is deliberately not
-   {!scan_events}: that walk skips memory payloads (memory words carry no
-   fault sites), while exact state reconstruction needs them. *)
-let apply_events t st ~upto i vi =
-  let code = t.code and vals = t.vals in
-  while !i < upto do
-    match code.(!i) with
-    | 0 ->
-        State.set st code.(!i + 1) (Bigarray.Array1.get vals !vi);
-        i := !i + 2;
-        incr vi
-    | 1 ->
-        State.set st code.(!i + 2) (Bigarray.Array1.get vals !vi);
-        i := !i + 3;
-        incr vi
-    | 2 ->
-        let nw = code.(!i + 3) and nrec = code.(!i + 4) in
-        for j = 0 to nw - 1 do
-          State.set st code.(!i + 5 + j) (Bigarray.Array1.get vals (!vi + j))
-        done;
-        i := !i + 5 + nw + nrec;
-        vi := !vi + nw
-    | 3 ->
-        let nw = code.(!i + 2)
-        and nmw = code.(!i + 3)
-        and nrec = code.(!i + 4) in
-        let wbase = !i + 5 in
-        let mbase = wbase + nw in
-        for j = 0 to nw - 1 do
-          State.set st code.(wbase + j) (Bigarray.Array1.get vals (!vi + j))
-        done;
-        for j = 0 to nmw - 1 do
-          State.set_mem st
-            code.(mbase + (2 * j))
-            code.(mbase + (2 * j) + 1)
-            (Bigarray.Array1.get vals (!vi + nw + j))
-        done;
-        i := !i + 5 + nw + (2 * nmw) + nrec;
-        vi := !vi + nw + nmw
-    | 4 -> incr i
-    | other -> mismatch "corrupt trace: opcode %d at offset %d" other !i
-  done
-
-let with_snapshots t ~base ~at =
-  let at =
-    List.sort_uniq compare (t.cycles :: at)
-    |> List.filter (fun c -> c >= 1 && c <= t.cycles)
-  in
-  if at = [] then t
-  else begin
-    (* The event stream is a complete state-update log, so replaying it
-       over a pristine base reconstructs the exact good state at any cycle
-       boundary. The clock signal is the one exception — its toggles are
-       step markers, not writes — but its boundary value is the same every
-       cycle, so it is borrowed from any existing snapshot. *)
-    let clock_v =
-      if Array.length t.snapshots > 0 then
-        Some (State.get (snd t.snapshots.(0)) t.clock)
-      else None
-    in
-    let st = base in
-    let i = ref 0 and vi = ref 0 in
-    let snaps =
-      List.map
-        (fun sc ->
-          apply_events t st ~upto:t.cycle_code.(sc) i vi;
-          (match clock_v with Some v -> State.set st t.clock v | None -> ());
-          (sc, State.copy st))
-        at
-    in
-    let snapshots = Array.of_list snaps in
-    let capture_bytes =
-      (8
-      * (Array.length t.code
-        + Bigarray.Array1.dim t.vals
-        + (t.cycles * t.nout)))
-      + (16 * (t.cycles + 1))
-      + Array.fold_left (fun acc (_, s) -> acc + state_bytes s) 0 snapshots
-    in
-    { t with snapshots; capture_bytes }
-  end
-
 (* ---- activation windows ---- *)
 
 type site_kind = Stuck0 | Stuck1 | Transient of int
 type site = { s_signal : int; s_bit : int; s_kind : site_kind }
 
-(* One linear pass over the event stream. [on_write cycle id v] fires for
-   every recorded good signal write (memory writes carry no fault sites),
-   [on_ff cycle pid] when an edge-triggered process fires (before its
-   writes), and [on_boundary c] once cycle [c] is fully recorded — i.e. at
-   the exact point [observe c] ran during capture. The init-settle prefix
-   is attributed to cycle 0. *)
-let scan_events t ~on_write ~on_ff ~on_boundary =
+(* One linear pass over the event stream, the decoder every whole-stream
+   pass shares (the cursor above serves replay). [on_write cycle id v]
+   fires for every recorded good signal write, [on_mem_write cycle mem addr
+   v] for every ff memory write, [on_ff cycle pid] when an edge-triggered
+   process fires (before its writes), and [on_boundary c] once cycle [c]
+   is fully recorded — i.e. at the exact point [observe c] ran during
+   capture. The init-settle prefix is attributed to cycle 0. *)
+let scan_events t ~on_write ~on_mem_write ~on_ff ~on_boundary =
   let code = t.code and vals = t.vals in
   let n = Array.length code in
   let i = ref 0 and vi = ref 0 in
@@ -445,9 +359,16 @@ let scan_events t ~on_write ~on_ff ~on_boundary =
         let nw = code.(!i + 2)
         and nmw = code.(!i + 3)
         and nrec = code.(!i + 4) in
+        let mbase = !i + 5 + nw in
         on_ff cyc code.(!i + 1);
         for j = 0 to nw - 1 do
           on_write cyc code.(!i + 5 + j) (Bigarray.Array1.get vals (!vi + j))
+        done;
+        for j = 0 to nmw - 1 do
+          on_mem_write cyc
+            code.(mbase + (2 * j))
+            code.(mbase + (2 * j) + 1)
+            (Bigarray.Array1.get vals (!vi + nw + j))
         done;
         i := !i + 5 + nw + (2 * nmw) + nrec;
         vi := !vi + nw + nmw
@@ -459,7 +380,10 @@ let scan_events t ~on_write ~on_ff ~on_boundary =
   done
 
 let scan_writes t f =
-  scan_events t ~on_write:f ~on_ff:(fun _ _ -> ()) ~on_boundary:(fun _ -> ())
+  scan_events t ~on_write:f
+    ~on_mem_write:(fun _ _ _ _ -> ())
+    ~on_ff:(fun _ _ -> ())
+    ~on_boundary:(fun _ -> ())
 
 let stuck_bit_of v bit =
   Int64.to_int (Int64.logand (Int64.shift_right_logical v bit) 1L)
@@ -588,6 +512,7 @@ let activations t ~(cone : Flow.Cone.t) sites =
   if !unresolved > 0 then (
     try
       scan_events t
+        ~on_mem_write:(fun _ _ _ _ -> ())
         ~on_write:(fun cyc id v ->
           match Hashtbl.find_opt by_sig id with
           | None -> ()
@@ -617,6 +542,36 @@ let activations t ~(cone : Flow.Cone.t) sites =
             resolve cyc (fun i -> cone.Flow.Cone.out_comb.(sites.(i).s_signal)))
     with Exit -> ());
   act
+
+(* ---- post-hoc snapshot placement ---- *)
+
+let with_snapshots t ~base ~at =
+  let at =
+    List.sort_uniq compare (t.cycles :: at)
+    |> List.filter (fun c -> c >= 1 && c <= t.cycles)
+  in
+  if at = [] then t
+  else begin
+    (* The event stream is a complete state-update log, so replaying it
+       over a pristine base reconstructs the exact good state at any cycle
+       boundary. The clock signal is the one exception — its toggles are
+       step markers, not writes — but its boundary value is the same every
+       cycle, so it is borrowed from the end snapshot. *)
+    let clock_v = State.get (snapshot_at t t.cycles) t.clock in
+    let pending = ref at and snaps = ref [] in
+    scan_events t
+      ~on_write:(fun _ id v -> State.set base id v)
+      ~on_mem_write:(fun _ m a v -> State.set_mem base m a v)
+      ~on_ff:(fun _ _ -> ())
+      ~on_boundary:(fun c ->
+        match !pending with
+        | sc :: rest when sc = c + 1 ->
+            State.set base t.clock clock_v;
+            snaps := (sc, State.copy base) :: !snaps;
+            pending := rest
+        | _ -> ());
+    sized { t with snapshots = Array.of_list (List.rev !snaps) }
+  end
 
 let output_row t c =
   if c < 0 || c >= t.cycles then mismatch "output row %d out of range" c;

@@ -7,12 +7,13 @@
     blocking writes, ff-process nonblocking signal/memory writes), the
     branch decisions each behavioral execution took (so the implicit
     redundancy walk still sees the good control path), the output vector,
-    and a full {!State.t} snapshot every [snapshot_every] cycles plus one
-    at the end. Replay then applies the recorded writes through the
+    and one full {!State.t} snapshot: the good state at the end of the
+    workload. Replay then applies the recorded writes through the
     engine's own [write_good]/[write_good_mem] seams instead of
-    re-executing good procs, and a batch whose earliest fault activation
-    is [a] can start from the latest snapshot [<= a], skipping the dead
-    prefix entirely.
+    re-executing good procs. Mid-trace snapshots are placed afterwards,
+    by the schedule planner, through {!with_snapshots}: a batch whose
+    earliest fault activation is [a] then starts from the latest snapshot
+    [<= a], skipping the dead prefix entirely.
 
     Everything in a finished trace is immutable (plain [int]/[int64]
     arrays and Bigarrays), so one trace can be shared read-only across
@@ -40,9 +41,9 @@ type t = {
   outputs : i64a;  (** per-cycle output vectors, [cycles × nout] row-major *)
   snapshots : (int * State.t) array;
       (** ascending [(cycle, state)] pairs: the good state at the start of
-          [cycle], taken every [snapshot_every] cycles and always at
-          [cycles] (so a never-activating fault can skip the whole run). *)
-  snapshot_every : int;
+          [cycle]. A capture holds only [(cycles, end state)] (none when
+          [cycles = 0]), so a never-activating fault can skip the whole
+          run; {!with_snapshots} adds the mid-trace ones. *)
   capture_bytes : int;  (** approximate heap footprint of the capture *)
 }
 
@@ -52,8 +53,7 @@ exception Trace_mismatch of string
 
 type builder
 
-val builder :
-  cycles:int -> clock:int -> nout:int -> snapshot_every:int -> builder
+val builder : cycles:int -> clock:int -> nout:int -> builder
 
 val rec_input : builder -> int -> int64 -> unit
 val rec_step : builder -> unit
@@ -83,8 +83,8 @@ val rec_ff_proc :
 val rec_init_done : builder -> unit
 
 (** Called once per simulated cycle, after the engine observed it: records
-    the output vector and (on a snapshot boundary) a deep copy of the good
-    state. *)
+    the output vector and, after the last cycle, a deep copy of the good
+    state as the end snapshot. *)
 val rec_cycle_done : builder -> outputs:int64 array -> state:State.t -> unit
 
 (** Pack the builder into an immutable trace. Raises {!Trace_mismatch} if
@@ -147,12 +147,14 @@ type warm = { trace : t; start : int }
     [\[1, cycles\]], deduplicated; the final boundary [cycles] is always
     kept so never-activating faults still skip the whole run). Because the
     event stream is a complete state-update log, each snapshot is
-    reconstructed by replaying all recorded signal {e and memory} writes
-    over [base] — which must be a fresh [State.create] of the captured
-    design and is consumed (mutated) by the call. [capture_bytes] is
-    recomputed for the new snapshot set. This is the seam the schedule
-    planner's adaptive policy uses to move snapshots onto batch activation
-    boundaries without re-running the capture. *)
+    reconstructed by one pass over the stream that applies every recorded
+    signal {e and memory} write to [base] — which must be a fresh
+    [State.create] of the captured design and is consumed (mutated) by the
+    call; the clock's boundary value comes from [t]'s end snapshot.
+    [capture_bytes] is recomputed for the new snapshot set. This is the
+    only place mid-trace snapshots come from: the schedule planner uses it
+    to put them on batch activation boundaries without re-running the
+    capture. *)
 val with_snapshots : t -> base:State.t -> at:int list -> t
 
 (** {1 Activation windows} *)

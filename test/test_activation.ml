@@ -92,7 +92,7 @@ let test_scan_write_boundaries () =
   let _, g, _ = cone_design () in
   let st = Sim.State.create g.Rtlir.Elaborate.design in
   let outputs = [| 0L |] in
-  let b = G.builder ~cycles:3 ~clock:0 ~nout:1 ~snapshot_every:2 in
+  let b = G.builder ~cycles:3 ~clock:0 ~nout:1 in
   G.rec_assign b ~pos:0 ~target:5 7L;
   G.rec_init_done b;
   G.rec_input b 1 1L;

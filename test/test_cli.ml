@@ -2,12 +2,19 @@
    binary: the exit code is the contract (0 success, 6 bad workload, 124
    cmdliner usage error). *)
 
+(* Relative paths in this suite ([eraser], [sample], [unusable ...]) name
+   files of the build tree as seen from this test binary's directory, and
+   every command runs from there, so the suite passes from any working
+   directory. *)
+let here = Filename.dirname Sys.executable_name
 let eraser = "../bin/eraser_cli.exe"
 
-let exit_code args =
-  Sys.command
-    (Filename.quote_command eraser ~stdout:Filename.null
-       ~stderr:Filename.null args)
+(* [eraser args], run from [here], with stderr discarded. *)
+let command ?(stdout = Filename.null) args =
+  Printf.sprintf "cd %s && %s" (Filename.quote here)
+    (Filename.quote_command eraser ~stdout ~stderr:Filename.null args)
+
+let exit_code args = Sys.command (command args)
 
 let case ?name args expected =
   let name = Option.value name ~default:(String.concat " " args) in
@@ -111,11 +118,7 @@ let early_output_case args =
       Fun.protect
         ~finally:(fun () -> Sys.remove out)
         (fun () ->
-          let code =
-            Sys.command
-              (Filename.quote_command eraser ~stdout:out
-                 ~stderr:Filename.null args)
-          in
+          let code = Sys.command (command ~stdout:out args) in
           Alcotest.(check int) "exit code" 6 code;
           let text = In_channel.with_open_bin out In_channel.input_all in
           let ran =

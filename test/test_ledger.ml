@@ -3,7 +3,12 @@
    (BENCHMARK.json). *)
 module J = Harness.Jsonl
 
-let read path = In_channel.with_open_bin path In_channel.input_all
+(* Paths are relative to this test binary's directory (the build tree's
+   test/), not to the working directory. *)
+let read path =
+  In_channel.with_open_bin
+    (Filename.concat (Filename.dirname Sys.executable_name) path)
+    In_channel.input_all
 
 let test_entries_name_declared_workloads () =
   let declared =

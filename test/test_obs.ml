@@ -347,7 +347,12 @@ let test_restore_and_append_spans () =
   let _, g, w, faults =
     Circuits.Bench_circuit.instantiate (Circuits.find "alu") ~scale:0.05
   in
-  let trace = Engine.Concurrent.capture ~snapshot_every:4 g w in
+  let trace =
+    Sim.Goodtrace.with_snapshots
+      (Engine.Concurrent.capture g w)
+      ~base:(Sim.State.create g.Rtlir.Elaborate.design)
+      ~at:[ 8 ]
+  in
   let start = Sim.Goodtrace.start_for trace ~activation:8 in
   check int_t "cycle 8 is a snapshot" 8 start;
   let journal = Filename.temp_file "eraser_test_obs" ".jsonl" in

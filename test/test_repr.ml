@@ -61,7 +61,7 @@ let snapshot_determinism name =
   let config =
     { Engine.Concurrent.default_config with mode = Engine.Concurrent.Full }
   in
-  let trace = Engine.Concurrent.capture ~config g w in
+  let capture = Engine.Concurrent.capture ~config g w in
   let d = g.Rtlir.Elaborate.design in
   let base =
     Faultsim.Fault.generate_transients ~seed:0xCAFEL ~count:6
@@ -79,8 +79,12 @@ let snapshot_determinism name =
         })
       base
   in
-  let acts = Engine.Concurrent.activations trace g faults in
+  let acts = Engine.Concurrent.activations capture g faults in
   let earliest = Array.fold_left min max_int acts in
+  let trace =
+    Sim.Goodtrace.with_snapshots capture ~base:(Sim.State.create d)
+      ~at:[ earliest ]
+  in
   let start = Sim.Goodtrace.start_for trace ~activation:earliest in
   if start <= 0 then
     Alcotest.failf "%s: expected a mid snapshot for activation %d" name

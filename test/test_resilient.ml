@@ -724,6 +724,36 @@ let test_unstable_design_not_retried () =
   | _ -> Alcotest.fail "an oscillating design completed"
   | exception Sim.Simulator.Unstable _ -> ()
 
+(* write_atomic replaces a regular file through a rename, but writes a
+   path that is not a regular file (a FIFO here; /dev/stdout in use) in
+   place: a rename would replace the FIFO itself. *)
+let test_write_atomic_keeps_special_files () =
+  let dir = Filename.temp_dir "eraser_atomic" "" in
+  let file = Filename.concat dir "report.json"
+  and fifo = Filename.concat dir "pipe" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ file; fifo ];
+      Sys.rmdir dir)
+    (fun () ->
+      R.write_atomic file (fun oc -> output_string oc "old");
+      R.write_atomic file (fun oc -> output_string oc "new");
+      check Alcotest.string "regular file replaced" "new"
+        (In_channel.with_open_bin file In_channel.input_all);
+      check bool_t "no temp file left" false (Sys.file_exists (file ^ ".tmp"));
+      Unix.mkfifo fifo 0o600;
+      let reader =
+        Domain.spawn (fun () ->
+            In_channel.with_open_bin fifo In_channel.input_all)
+      in
+      R.write_atomic fifo (fun oc -> output_string oc "through the pipe");
+      check bool_t "still a FIFO" true
+        ((Unix.stat fifo).Unix.st_kind = Unix.S_FIFO);
+      check Alcotest.string "reader got the bytes" "through the pipe"
+        (Domain.join reader))
+
 let suite =
   [
     Alcotest.test_case "batched == monolithic verdicts" `Quick
@@ -781,4 +811,6 @@ let suite =
       test_jsonl_roundtrip;
     Alcotest.test_case "supervision does not retry an unstable design" `Quick
       test_unstable_design_not_retried;
+    Alcotest.test_case "write_atomic writes special files in place" `Quick
+      test_write_atomic_keeps_special_files;
   ]

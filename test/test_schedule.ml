@@ -3,8 +3,9 @@
    The contract under test (DESIGN.md section 15): Schedule.plan produces a
    permutation partition of the unpruned fault set under every policy and
    granularity; a journaled plan resumes across worker counts to a
-   byte-identical report; and the satellite seams — post-hoc snapshot
-   reconstruction, halve/singleton refinement — preserve replay exactly. *)
+   byte-identical report; every warm plan places its own snapshots; and
+   the satellite seams — post-hoc snapshot reconstruction,
+   halve/singleton refinement — preserve replay exactly. *)
 
 open Faultsim
 module H = Harness
@@ -239,6 +240,12 @@ let test_refinement_invariants () =
     H.Schedule.plan ~policy:H.Schedule.Adaptive
       ~granularity:(H.Schedule.Size 4) ~warm ~design:g ~n ()
   in
+  (* the journaled plan record: a drifting snapshot budget or placement
+     would change a warm journal's plan line and break resume *)
+  Alcotest.(check string)
+    "plan record"
+    {|{"type":"plan","policy":"adaptive","batches":5,"starts":[0,37,74,111,149]}|}
+    (H.Jsonl.to_string (H.Schedule.to_json plan));
   let trace =
     match plan.H.Schedule.sp_trace with
     | Some t -> t
@@ -266,22 +273,57 @@ let test_refinement_invariants () =
         | None -> [| b.H.Schedule.sb_ids |]))
     plan.H.Schedule.sp_batches
 
-(* Adaptive's snapshot seam: with_snapshots must reconstruct, from the
-   event stream alone, exactly the states an engine capture with
-   snapshot_every:1 recorded at those cycles (signals and memory words). *)
+(* A warm Fixed plan places its own snapshots: with no more batches than
+   the snapshot budget, every batch starts exactly at its earliest
+   activation, not at some coarser point below it. *)
+let test_fixed_warm_places_snapshots () =
+  let c = Circuits.find "alu" in
+  let d, g, w, _ = Circuits.Bench_circuit.instantiate c ~scale:0.1 in
+  let faults = transient_faults d w ~count:17 in
+  let n = Array.length faults in
+  let warm = warm_input g w faults in
+  let plan =
+    H.Schedule.plan ~policy:H.Schedule.Fixed ~granularity:(H.Schedule.Size 4)
+      ~warm ~design:g ~n ()
+  in
+  Alcotest.(check string)
+    "warm fixed plans stay fixed" "fixed"
+    (H.Schedule.policy_name plan.H.Schedule.sp_policy);
+  Array.iter
+    (fun (b : H.Schedule.batch) ->
+      let min_act =
+        Array.fold_left
+          (fun m id -> min m warm.H.Schedule.wi_acts.(id))
+          max_int b.H.Schedule.sb_ids
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "batch %d starts at its activation" b.H.Schedule.sb_index)
+        (min min_act w.Workload.cycles)
+        b.H.Schedule.sb_start)
+    plan.H.Schedule.sp_batches;
+  if Array.for_all (fun b -> b.H.Schedule.sb_start = 0) plan.H.Schedule.sp_batches
+  then Alcotest.fail "test premise broken: every batch starts cold"
+
+(* The snapshot seam: with_snapshots must reconstruct, from the event
+   stream alone, exactly the good state at each requested boundary [c] —
+   the end snapshot of a capture of the same workload cut to [c] cycles
+   (signals and memory words). *)
 let test_with_snapshots_reconstructs_exact_states () =
   let c = Circuits.find "sha256_hv" in
   let d, g, w, _ = Circuits.Bench_circuit.instantiate c ~scale:0.05 in
-  let exact = Engine.Concurrent.capture ~snapshot_every:1 g w in
-  let coarse = Engine.Concurrent.capture g w in
-  let cycles = coarse.Sim.Goodtrace.cycles in
+  let capture = Engine.Concurrent.capture g w in
+  let cycles = capture.Sim.Goodtrace.cycles in
   let at = [ 1; 2; cycles / 3; (2 * cycles / 3) + 1; cycles - 1; cycles ] in
   let rebuilt =
-    Sim.Goodtrace.with_snapshots coarse ~base:(Sim.State.create d) ~at
+    Sim.Goodtrace.with_snapshots capture ~base:(Sim.State.create d) ~at
   in
   Array.iter
     (fun (cyc, (st : Sim.State.t)) ->
-      let want = Sim.Goodtrace.snapshot_at exact cyc in
+      let want =
+        Sim.Goodtrace.snapshot_at
+          (Engine.Concurrent.capture g { w with Workload.cycles = cyc })
+          cyc
+      in
       for i = 0 to st.Sim.State.nsig - 1 do
         if Bigarray.Array1.get st.Sim.State.sig_v i
            <> Bigarray.Array1.get want.Sim.State.sig_v i
@@ -316,6 +358,8 @@ let suite =
       `Quick test_plan_resumes_across_jobs;
     Alcotest.test_case "halve / singletons / warm_for refinement invariants"
       `Quick test_refinement_invariants;
+    Alcotest.test_case "warm fixed plan places its own snapshots" `Quick
+      test_fixed_warm_places_snapshots;
     Alcotest.test_case "with_snapshots reconstructs exact engine states"
       `Quick test_with_snapshots_reconstructs_exact_states;
   ]

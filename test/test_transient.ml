@@ -233,7 +233,11 @@ let test_seu_lives_on_in_memory () =
 let test_seu_at_snapshot_boundary () =
   let d, w = retire_design () in
   let g = Elaborate.build d in
-  let trace = Engine.Concurrent.capture ~snapshot_every:4 g w in
+  let trace =
+    Sim.Goodtrace.with_snapshots
+      (Engine.Concurrent.capture g w)
+      ~base:(Sim.State.create d) ~at:[ 8 ]
+  in
   let start = Sim.Goodtrace.start_for trace ~activation:8 in
   check int_t "cycle 8 is a snapshot" 8 start;
   (* masked and memory-held flips exactly at the warm start, and after it *)

@@ -111,15 +111,20 @@ let test_warm_batch_equals_cold_batch () =
   let config =
     { Engine.Concurrent.default_config with mode = Engine.Concurrent.Full }
   in
-  let trace = Engine.Concurrent.capture ~config g w in
+  let capture = Engine.Concurrent.capture ~config g w in
   let late = w.Workload.cycles / 2 in
   let faults =
     Array.mapi
       (fun i f -> { f with Fault.stuck = Fault.Flip_at (late + (i mod (w.Workload.cycles - late))) })
       (Array.sub stuck 0 (min 8 (Array.length stuck)))
   in
-  let acts = Engine.Concurrent.activations trace g faults in
+  let acts = Engine.Concurrent.activations capture g faults in
   let earliest = Array.fold_left min max_int acts in
+  let trace =
+    Sim.Goodtrace.with_snapshots capture
+      ~base:(Sim.State.create g.Rtlir.Elaborate.design)
+      ~at:[ earliest ]
+  in
   let start = Sim.Goodtrace.start_for trace ~activation:earliest in
   if start <= 0 then
     Alcotest.failf "test premise broken: expected a mid snapshot, got %d" start;
@@ -153,8 +158,10 @@ let test_trace_outputs_stable () =
       Sim.Goodtrace.output_row t1 cyc <> Sim.Goodtrace.output_row t2 cyc
     then Alcotest.failf "capture not deterministic at cycle %d" cyc
   done;
-  Alcotest.(check int) "snapshot interval recorded" t1.Sim.Goodtrace.snapshot_every
-    t2.Sim.Goodtrace.snapshot_every;
+  Alcotest.(check (array int))
+    "capture holds exactly one snapshot, at cycles"
+    [| t1.Sim.Goodtrace.cycles |]
+    (Array.map fst t1.Sim.Goodtrace.snapshots);
   if t1.Sim.Goodtrace.capture_bytes <= 0 then
     Alcotest.fail "capture_bytes must be positive"
 
